@@ -17,20 +17,22 @@
  * than the resident capacity, so eviction, spill and restore run
  * continuously at full load.
  *
- * REPRO_SERVICE_SCALING=1 appends the thread×SIMD composition sweep:
- * {SIMD backend} x {1,2,4 producer threads} x {shard counts} points
- * at REPRO_SERVICE_SCALING_STREAMS streams each, emitted as the
- * "scaling" table (one row per point). Under REPRO_SERVICE_SMOKE=1
- * the sweep reduces to 2 points so CI stays bounded.
+ * REPRO_SERVICE_SCALING=1 appends the thread-scaling sweep:
+ * {1,2,4 producer threads} x {1,2 shards} points at
+ * REPRO_SERVICE_SCALING_STREAMS streams each, emitted as the
+ * "scaling" table (one row per point; the "backend" cell names the
+ * SIMD backend the shards' kernels dispatched). Under
+ * REPRO_SERVICE_SMOKE=1 the sweep reduces to 2 points so CI stays
+ * bounded.
  *
- * Emits results/BENCH_service.json (schema_version 7): sustained
+ * Emits results/BENCH_service.json (schema_version 9): sustained
  * ingest records/sec as a gated "_records_per_sec" metric, p50/p99
  * ingest-to-predict latency (gated as latency quantiles), the col-0
- * hit rate, peak RSS, the "service"/"packing"/"drain_batches"
- * sections, an "ingest_fabric" section (ring geometry, publish and
- * full-ring counters, adaptive-quota activity), a "producer_blocked"
- * section (the distinct blocked-time histogram), and the optional
- * "scaling" table.
+ * hit rate, peak RSS, the "service"/"drain_batches" sections, an
+ * "ingest_fabric" section (ring geometry, publish and full-ring
+ * counters, adaptive-quota activity), a "producer_blocked" section
+ * (the distinct blocked-time histogram), and the optional "scaling"
+ * table.
  */
 
 #include <atomic>
@@ -51,7 +53,6 @@
 namespace
 {
 
-using vpred::SimdBackend;
 using vpred::Value;
 using vpred::service::IngestStats;
 using vpred::service::LatencyHistogram;
@@ -277,14 +278,11 @@ main()
     }
     service.reset();
 
-    const double lane_occupancy = r.stats.packed_steps == 0
-            ? 0.0
-            : static_cast<double>(r.stats.gather_records
-                                  + r.stats.scalar_records)
-                    / static_cast<double>(r.stats.packed_steps * 16);
     const double hit_rate = hitRate(r.stats);
     const auto p50 = r.latency.quantileNs(0.50);
     const auto p99 = r.latency.quantileNs(0.99);
+    const char* backend =
+            vpred::simdBackendName(vpred::bestSimdBackend());
     const double mean_publish = r.ingest.publishes == 0
             ? 0.0
             : static_cast<double>(r.ingest.published_records)
@@ -300,13 +298,8 @@ main()
               << "  resident " << r.stats.resident_streams
               << ", spilled " << r.stats.spilled_streams
               << ", evictions " << r.stats.evictions << ", restores "
-              << r.stats.restores << "\n  packing: " << r.stats.flushes
-              << " flushes, " << r.stats.packed_steps
-              << " steps, occupancy " << lane_occupancy << ", gather "
-              << r.stats.gather_records << ", scalar "
-              << r.stats.scalar_records << " ("
-              << vpred::simdBackendName(vpred::activeSimdBackend())
-              << ")\n  fabric: " << r.ingest.publishes
+              << r.stats.restores << ", kernel feeds " << r.stats.flushes
+              << " (" << backend << ")\n  fabric: " << r.ingest.publishes
               << " publishes (mean batch " << mean_publish << "), "
               << r.ingest.full_events << " ring-full, blocked "
               << static_cast<double>(r.ingest.blocked_ns) / 1e6
@@ -319,10 +312,8 @@ main()
     vpred::harness::ResultsJsonWriter json("service", 1.0, n_shards);
     json.setWallSeconds(r.wall);
     vpred::harness::SweepExecution exec;
-    exec.simd_backend =
-            vpred::simdBackendName(vpred::activeSimdBackend());
-    exec.vector_width =
-            vpred::simdVectorBits(vpred::activeSimdBackend());
+    exec.simd_backend = backend;
+    exec.vector_width = vpred::simdVectorBits(vpred::bestSimdBackend());
     json.setExecution(exec);
     json.addMetric("service_ingest_records_per_sec", r.rate);
     json.addMetric("service_p50_ingest_to_predict_ns",
@@ -343,17 +334,8 @@ main()
               static_cast<double>(r.stats.spilled_streams)},
              {"evictions", static_cast<double>(r.stats.evictions)},
              {"restores", static_cast<double>(r.stats.restores)},
+             {"flushes", static_cast<double>(r.stats.flushes)},
              {"pump_calls", static_cast<double>(r.pumps)}});
-    json.addSection(
-            "packing",
-            {{"flushes", static_cast<double>(r.stats.flushes)},
-             {"packed_steps",
-              static_cast<double>(r.stats.packed_steps)},
-             {"mean_lane_occupancy", lane_occupancy},
-             {"gather_records",
-              static_cast<double>(r.stats.gather_records)},
-             {"scalar_records",
-              static_cast<double>(r.stats.scalar_records)}});
     json.addSection(
             "drain_batches",
             {{"drains", static_cast<double>(r.drain_batches.count())},
@@ -398,11 +380,10 @@ main()
               static_cast<double>(r.blocked.quantileNs(0.99))}});
 
     if (scaling) {
-        // The thread x SIMD composition sweep. Each point is a fresh
-        // service (cold kernels, explicit backend) at a reduced
-        // stream population so the whole grid stays tractable; the
-        // monotonicity acceptance reads the fixed-shard producer
-        // column. Smoke keeps 2 points for CI.
+        // The thread-scaling sweep. Each point is a fresh service
+        // (cold kernels) at a reduced stream population so the whole
+        // grid stays tractable; the monotonicity acceptance reads the
+        // fixed-shard producer column. Smoke keeps 2 points for CI.
         const std::uint64_t sweep_streams = vpred::envUIntOr(
                 "REPRO_SERVICE_SCALING_STREAMS",
                 smoke ? 5'000 : 1'000'000, 1, 100'000'000);
@@ -420,70 +401,52 @@ main()
         // saturates the drain path and the curve flattens into noise.
         const std::size_t sweep_ring_capacity = vpred::envRaw(
                 "REPRO_SERVICE_RING_CAP") ? cfg.ring_capacity : 128;
-        std::vector<SimdBackend> backends;
         std::vector<unsigned> producer_counts;
         std::vector<unsigned> shard_counts;
         if (smoke) {
-            backends = {vpred::activeSimdBackend()};
             producer_counts = {1, 2};
             shard_counts = {1};
         } else {
-            backends = vpred::availableSimdBackends();
             producer_counts = {1, 2, 4};
             shard_counts = {1, 2};
         }
         std::vector<std::vector<vpred::harness::JsonValue>> rows;
-        for (const SimdBackend backend : backends) {
-            for (const unsigned shards : shard_counts) {
-                for (const unsigned producers : producer_counts) {
-                    ServiceConfig pc = cfg;
-                    pc.shards = shards;
-                    pc.backend = backend;
-                    pc.ring_capacity = sweep_ring_capacity;
-                    LoadResult pr;
-                    for (unsigned a = 0; a < sweep_attempts; ++a) {
-                        PredictionService psvc(pc);
-                        LoadResult attempt = runLoad(
-                                psvc, producers, sweep_streams,
-                                sweep_rounds);
-                        if (a == 0 || attempt.rate > pr.rate)
-                            pr = std::move(attempt);
-                    }
-                    std::cout << "  scaling "
-                              << vpred::simdBackendName(backend)
-                              << " x " << producers << "p x "
-                              << shards << "s: " << pr.rate / 1e6
-                              << " M records/s, p99 "
-                              << static_cast<double>(
-                                         pr.latency.quantileNs(0.99))
-                                    / 1e3
-                              << " us, blocked "
-                              << static_cast<double>(
-                                         pr.ingest.blocked_ns)
-                                    / 1e6
-                              << " ms\n";
-                    rows.push_back(
-                            {vpred::simdBackendName(backend),
-                             static_cast<double>(producers),
-                             static_cast<double>(shards),
-                             static_cast<double>(pr.records),
-                             pr.rate,
-                             static_cast<double>(
-                                     pr.latency.quantileNs(0.50)),
-                             static_cast<double>(
-                                     pr.latency.quantileNs(0.99)),
-                             static_cast<double>(
-                                     pr.ingest.full_events),
-                             static_cast<double>(
-                                     pr.ingest.blocked_ns),
-                             static_cast<double>(
-                                     pr.stats.max_backlog),
-                             static_cast<double>(
-                                     pr.stats.quota_grows),
-                             static_cast<double>(
-                                     pr.stats.quota_shrinks),
-                             hitRate(pr.stats)});
+        for (const unsigned shards : shard_counts) {
+            for (const unsigned producers : producer_counts) {
+                ServiceConfig pc = cfg;
+                pc.shards = shards;
+                pc.ring_capacity = sweep_ring_capacity;
+                LoadResult pr;
+                for (unsigned a = 0; a < sweep_attempts; ++a) {
+                    PredictionService psvc(pc);
+                    LoadResult attempt = runLoad(
+                            psvc, producers, sweep_streams, sweep_rounds);
+                    if (a == 0 || attempt.rate > pr.rate)
+                        pr = std::move(attempt);
                 }
+                std::cout << "  scaling " << backend << " x "
+                          << producers << "p x " << shards
+                          << "s: " << pr.rate / 1e6
+                          << " M records/s, p99 "
+                          << static_cast<double>(
+                                     pr.latency.quantileNs(0.99))
+                                / 1e3
+                          << " us, blocked "
+                          << static_cast<double>(pr.ingest.blocked_ns)
+                                / 1e6
+                          << " ms\n";
+                rows.push_back(
+                        {backend, static_cast<double>(producers),
+                         static_cast<double>(shards),
+                         static_cast<double>(pr.records), pr.rate,
+                         static_cast<double>(pr.latency.quantileNs(0.50)),
+                         static_cast<double>(pr.latency.quantileNs(0.99)),
+                         static_cast<double>(pr.ingest.full_events),
+                         static_cast<double>(pr.ingest.blocked_ns),
+                         static_cast<double>(pr.stats.max_backlog),
+                         static_cast<double>(pr.stats.quota_grows),
+                         static_cast<double>(pr.stats.quota_shrinks),
+                         hitRate(pr.stats)});
             }
         }
         json.addTable("scaling",

@@ -68,72 +68,6 @@ struct MgSimdView
      */
     const std::uint32_t* prefetch_cols = nullptr;
     std::size_t n_prefetch = 0;
-
-    /**
-     * The gather-tier column split (MultiGeomKernelBase's plan, from
-     * l2_bits >= REPRO_GATHER_COLUMNS): gather_cols are probed W
-     * records at a time via vector gather/scatter by runMgGather*,
-     * scalar_cols keep the per-record scalar probe loop. Disjoint and
-     * together covering all n real columns; the column kernels ignore
-     * them, and the gather entry points are only dispatched when
-     * n_gather > 0.
-     */
-    const std::uint32_t* gather_cols = nullptr;
-    std::size_t n_gather = 0;
-    const std::uint32_t* scalar_cols = nullptr;
-    std::size_t n_scalar = 0;
-};
-
-/**
- * Flattened kernel state plus a canonical stream-packed schedule for
- * one feedTracePacked() call (see MultiGeomKernelBase::packTrace).
- *
- * The schedule is a sequence of @ref steps 16-lane steps
- * (simd::kPackLanes). Every lane of a step carries one record from a
- * *distinct* level-1 entry, so the per-lane history advances never
- * collide; level-2 probe indices may collide, and the contract is
- * per-(step, column): all lanes read (hash gather, table gather,
- * compare) before any lane writes, and stores land in ascending lane
- * order. Inactive lanes hold entry 0 / value 0 so unmasked gathers
- * stay in bounds; their writes and counter contributions are masked
- * out via @ref step_active.
- */
-struct MgPackedView
-{
-    std::uint32_t* hists;    //!< l1Entries x padded_n history bank
-    std::size_t n;           //!< real column count
-    std::size_t padded_n;    //!< bank stride, multiple of kMaxSimdLanes
-
-    std::uint32_t value_mask;   //!< value mask, value_bits <= 32
-    std::uint32_t stride_mask;  //!< DFCM stored-stride mask
-    unsigned stride_bits;       //!< DFCM stored-stride width
-    unsigned chunks;            //!< shared worst-case fold chunk count
-
-    /** Level-2 table base pointer per real column. */
-    std::uint32_t* const* l2;
-
-    // Per-column FS R-k parameters (indexed by real column c < n;
-    // same padded arrays the column kernels use).
-    const std::uint32_t* shifts;
-    const std::uint32_t* fold_bits;
-    const std::uint32_t* fold_masks;
-    const std::uint32_t* index_masks;
-
-    std::uint64_t* correct;  //!< n correct-prediction counters
-    Value* last;             //!< DFCM: last value per level-1 entry
-    bool dfcm = false;       //!< DFCM rule (vs. FCM)
-    bool widen = false;      //!< DFCM: stride_bits < value_bits
-
-    /** Level-1 entry per lane, steps x kPackLanes (0 when inactive). */
-    const std::uint32_t* lane_entry;
-    /** Masked record value per lane, steps x kPackLanes. */
-    const std::uint32_t* lane_value;
-    /** Active-lane bitmask per step. */
-    const std::uint16_t* step_active;
-    /** Lanes whose raw 64-bit value fits value_mask (subset of
-     *  step_active); only these may count a correct prediction. */
-    const std::uint16_t* step_fits;
-    std::size_t steps;
 };
 
 // One entry point per compiled backend; each runs the shared kernel
@@ -147,14 +81,6 @@ void runMgColumnsSse2(const MgSimdView& view,
 #if defined(REPRO_SIMD_HAS_AVX2)
 void runMgColumnsAvx2(const MgSimdView& view,
                       std::span<const TraceRecord> trace);
-void runMgPackedAvx2(const MgPackedView& view);
-void runMgGatherAvx2(const MgSimdView& view,
-                     std::span<const TraceRecord> trace);
-#endif
-#if defined(REPRO_SIMD_HAS_AVX512)
-void runMgPackedAvx512(const MgPackedView& view);
-void runMgGatherAvx512(const MgSimdView& view,
-                       std::span<const TraceRecord> trace);
 #endif
 #if defined(REPRO_SIMD_HAS_NEON)
 void runMgColumnsNeon(const MgSimdView& view,

@@ -25,24 +25,4 @@ runMgColumnsAvx2(const MgSimdView& view,
     runMgColumnsAll<simd::Native>(view, trace);
 }
 
-void
-runMgPackedAvx2(const MgPackedView& view)
-{
-    // Each 16-lane step runs as two 256-bit half-vectors; vpgatherdd
-    // covers the level-2 probes, and the (scatterless) lane-order
-    // store loop in simd.hh preserves the canonical duplicate-index
-    // tie-break.
-    runMgPackedAll<simd::Native>(view);
-}
-
-void
-runMgGatherAvx2(const MgSimdView& view,
-                std::span<const TraceRecord> trace)
-{
-    // Gather column tier: 8-record batches per big level-2 column
-    // (NativeCol == Native here — the 8-lane bank padding is the
-    // native width).
-    runMgGatherAll<simd::Native, simd::NativeCol>(view, trace);
-}
-
 } // namespace vpred::detail

@@ -39,9 +39,6 @@
 #ifndef DFCM_CORE_MULTI_GEOM_SIMD_IMPL_HH
 #define DFCM_CORE_MULTI_GEOM_SIMD_IMPL_HH
 
-#include <bit>
-#include <vector>
-
 #include "core/multi_geom_simd.hh"
 #include "core/simd.hh"
 
@@ -186,456 +183,6 @@ runMgColumnsAll(const MgSimdView& v, std::span<const TraceRecord> trace)
             runMgColumns<Ops, true, false>(v, trace);
     } else {
         runMgColumns<Ops, false, false>(v, trace);
-    }
-}
-
-/**
- * The gather column tier: the column kernel above with the scalar
- * per-record probe loop replaced — for the *big* level-2 columns the
- * plan selected (MgSimdView::gather_cols) — by batched vector
- * gather/scatter probes over W = Ops::kLanes consecutive records.
- *
- * Why: at l2_bits >= ~20 a column is megabytes of near-uniformly
- * probed memory, so each scalar probe is a dependent cache+TLB miss
- * the out-of-order window can only partially hide. Batching W
- * post-update hashes per column and issuing one vpgatherdd lets the
- * memory system service W misses in flight, and the capture-time
- * prefetch starts the lines even earlier.
- *
- * Execution order per full W-record batch:
- *
- *   Phase A, per record r in batch order — exactly the column
- *   kernel's per-record work except the gather columns' probes:
- *     - scalar level-1 lookup (+ next-record bank prefetch);
- *     - scalar probe/update for every *scalar* column, the
- *       per-config rule verbatim;
- *     - for every *gather* column: capture the pre-update hash
- *       h[c][r] into the staging area and prefetch the slot;
- *     - vector history advance of the whole padded bank (ColOps —
- *       8-lane even under AVX-512, matching the bank padding),
- *       DFCM last-value update.
- *
- *   Phase B, per gather column c — the W deferred probes:
- *     - gather the W slots of l2[c] at the staged hashes;
- *     - conflict forwarding: record r's scalar probe would read
- *       *after* records 0..r-1 stored, so a lane whose hash equals an
- *       earlier lane's must see that lane's store, not memory. For
- *       s = 1..W-1 ascending, rotate the hash vector up by s and
- *       compare: a match at shift s is lane r's *nearest* earlier
- *       equal — i.e. the last store before its read — and the store
- *       values (column-independent: the masked value or masked
- *       stride of record r-s) rotate identically into place. First
- *       match wins; resolved lanes drop out of the mask.
- *     - masked compare + popcount into correct[c] (a lane counts only
- *       when its raw 64-bit value fits value_mask, as everywhere);
- *     - scatter the W stores (highest lane wins on duplicate
- *       indices = the scalar loop's last-store-wins).
- *
- * Bit-identity to the scalar column kernel: columns never read each
- * other's tables and histories never read any table, so deferring a
- * column's probes past other columns' work is unobservable; within a
- * column the forwarding replays the exact read-after-write chain and
- * the scatter replays the final memory state; and the per-column
- * counters are sums, indifferent to evaluation order. The trailing
- * size % W records run with every column probed scalar (phase A with
- * gather columns treated as scalar), which is the reference path
- * itself. Asserted in tests/gather_column_test.cc, including
- * adversarial same-slot collision batches.
- */
-template <class Ops, class ColOps, bool kDfcm, bool kWiden>
-inline void
-runMgGather(const MgSimdView& v, std::span<const TraceRecord> trace)
-{
-    using Vec = typename Ops::Vec;
-    using CVec = typename ColOps::Vec;
-    constexpr unsigned kW = Ops::kLanes;
-    constexpr std::uint32_t kFull =
-            static_cast<std::uint32_t>((1ull << kW) - 1);
-
-    const std::size_t pn = v.padded_n;
-    const std::size_t ng = v.n_gather;
-    const std::size_t ns = v.n_scalar;
-    const std::size_t size = trace.size();
-
-    // Staged pre-update hashes, column-major: hstage[g * kW + r].
-    std::vector<std::uint32_t> hstage(ng * kW);
-    alignas(64) std::uint32_t val32[kW];
-    alignas(64) std::uint32_t stv32[kW];
-    alignas(64) std::uint32_t lastv32[kW];
-
-    const Vec vmaskv =
-            Ops::broadcast(static_cast<std::uint32_t>(v.value_mask));
-    [[maybe_unused]] Vec wbit = Ops::broadcast(0);
-    if constexpr (kDfcm && kWiden)
-        wbit = Ops::broadcast(1u << (v.stride_bits - 1));
-
-    // One scalar probe/update, the per-config rule verbatim (shared
-    // by the scalar columns of every batch and by the whole tail).
-    const auto scalarProbe = [&](std::uint32_t c, std::uint32_t h,
-                                 const TraceRecord& rec, Value last,
-                                 Value masked, Value inserted) {
-        std::uint32_t* slot = v.l2[c] + h;
-        if constexpr (kDfcm) {
-            Value stored = Value{*slot};
-            if constexpr (kWiden)
-                stored = signExtend(stored, v.stride_bits)
-                        & v.value_mask;
-            v.correct[c] +=
-                    ((last + stored) & v.value_mask) == rec.value;
-            *slot = static_cast<std::uint32_t>(inserted
-                                               & v.stride_mask);
-        } else {
-            (void)last;
-            v.correct[c] += Value{*slot} == rec.value;
-            *slot = static_cast<std::uint32_t>(masked);
-        }
-    };
-
-    // The batch walk, parameterized over the bank advance (hoisted
-    // constants when one ColOps vector covers the bank, as in the
-    // column kernel).
-    const auto run = [&](auto&& advance) {
-        std::size_t i = 0;
-        while (i < size) {
-            const bool full = size - i >= kW;
-            const unsigned w =
-                    full ? kW : static_cast<unsigned>(size - i);
-            std::uint32_t fits = 0;
-
-            for (unsigned r = 0; r < w; ++r) {
-                const TraceRecord& rec = trace[i + r];
-                const std::size_t idx = rec.pc & v.l1_mask;
-                std::uint32_t* bank = v.hists + idx * pn;
-
-                std::size_t nidx = idx;
-                if (i + r + 1 < size) {
-                    nidx = trace[i + r + 1].pc & v.l1_mask;
-                    simd::prefetchRead(v.hists + nidx * pn);
-                }
-
-                const Value masked = rec.value & v.value_mask;
-                Value last = 0;
-                Value inserted = masked;
-                if constexpr (kDfcm) {
-                    last = v.last[idx];
-                    inserted = (masked - last) & v.value_mask;
-                }
-                val32[r] = static_cast<std::uint32_t>(masked);
-                lastv32[r] = static_cast<std::uint32_t>(last);
-                stv32[r] = static_cast<std::uint32_t>(
-                        kDfcm ? inserted & v.stride_mask : masked);
-                if ((rec.value & ~v.value_mask) == 0)
-                    fits |= 1u << r;
-
-                for (std::size_t j = 0; j < ns; ++j) {
-                    const std::uint32_t c = v.scalar_cols[j];
-                    scalarProbe(c, bank[c], rec, last, masked,
-                                inserted);
-                }
-
-                if (full) {
-                    // Prefetch even though the prefetch_cols pass
-                    // already touched this line one record earlier:
-                    // under full load-fill-buffer pressure prefetch
-                    // hints get dropped, and the second touch
-                    // measurably raises the landing rate on the
-                    // DRAM-bound shapes this tier exists for.
-                    for (std::size_t g = 0; g < ng; ++g) {
-                        const std::uint32_t c = v.gather_cols[g];
-                        const std::uint32_t h = bank[c];
-                        hstage[g * kW + r] = h;
-                        simd::prefetchRead(v.l2[c] + h);
-                    }
-                } else {
-                    // Tail: too few records to fill a batch — the
-                    // gather columns take the reference scalar path.
-                    for (std::size_t g = 0; g < ng; ++g) {
-                        const std::uint32_t c = v.gather_cols[g];
-                        scalarProbe(c, bank[c], rec, last, masked,
-                                    inserted);
-                    }
-                }
-
-                advance(bank,
-                        static_cast<std::uint32_t>(inserted));
-                if constexpr (kDfcm)
-                    v.last[idx] = masked;
-
-                if (i + r + 1 < size) {
-                    const std::uint32_t* nbank = v.hists + nidx * pn;
-                    for (std::size_t j = 0; j < v.n_prefetch; ++j) {
-                        const std::uint32_t c = v.prefetch_cols[j];
-                        simd::prefetchRead(v.l2[c] + nbank[c]);
-                    }
-                }
-            }
-
-            if (full) {
-                const Vec val = Ops::loadu(val32);
-                const Vec stv = Ops::loadu(stv32);
-                [[maybe_unused]] Vec lastv = Ops::broadcast(0);
-                if constexpr (kDfcm)
-                    lastv = Ops::loadu(lastv32);
-
-                for (std::size_t g = 0; g < ng; ++g) {
-                    const std::uint32_t c = v.gather_cols[g];
-                    const Vec h = Ops::loadu(hstage.data() + g * kW);
-                    Vec slot = Ops::gather32(v.l2[c], h);
-
-                    // Only lanes with an earlier duplicate ever need
-                    // forwarding; with none (the overwhelmingly common
-                    // batch) the loop body never runs.
-                    std::uint32_t unresolved = Ops::conflictMask(h);
-                    for (unsigned s = 1; s < kW && unresolved; ++s) {
-                        const std::uint32_t m =
-                                Ops::cmpeqMask(h, Ops::rotateUp(h, s))
-                                & (kFull << s) & unresolved;
-                        if (m) {
-                            slot = Ops::blendMask(
-                                    slot, Ops::rotateUp(stv, s), m);
-                            unresolved &= ~m;
-                        }
-                    }
-
-                    Vec pred;
-                    if constexpr (kDfcm) {
-                        Vec st = slot;
-                        if constexpr (kWiden)
-                            st = Ops::sub(Ops::bxor(st, wbit), wbit);
-                        pred = Ops::band(Ops::add(lastv, st), vmaskv);
-                    } else {
-                        pred = slot;
-                    }
-                    v.correct[c] += static_cast<unsigned>(
-                            std::popcount(Ops::cmpeqMask(pred, val)
-                                          & fits));
-
-                    Ops::scatter32(v.l2[c], h, stv, kFull);
-                }
-            }
-
-            i += w;
-        }
-    };
-
-    if (pn == ColOps::kLanes) {
-        const CVec sh = ColOps::loadu(v.shifts);
-        const CVec fb = ColOps::loadu(v.fold_bits);
-        const CVec fm = ColOps::loadu(v.fold_masks);
-        const CVec im = ColOps::loadu(v.index_masks);
-        run([&](std::uint32_t* bank, std::uint32_t ins) {
-            CVec f = ColOps::broadcast(0);
-            CVec t = ColOps::broadcast(ins);
-            for (unsigned k = 0; k < v.chunks; ++k) {
-                f = ColOps::bxor(f, t);
-                t = ColOps::shr(t, fb);
-            }
-            const CVec nh = ColOps::band(
-                    ColOps::bxor(ColOps::shl(ColOps::loadu(bank), sh),
-                                 ColOps::band(f, fm)),
-                    im);
-            ColOps::storeu(bank, nh);
-        });
-        return;
-    }
-
-    run([&](std::uint32_t* bank, std::uint32_t ins) {
-        const CVec vin = ColOps::broadcast(ins);
-        for (std::size_t b = 0; b < pn; b += ColOps::kLanes) {
-            const CVec fb = ColOps::loadu(v.fold_bits + b);
-            CVec f = ColOps::broadcast(0);
-            CVec t = vin;
-            for (unsigned k = 0; k < v.chunks; ++k) {
-                f = ColOps::bxor(f, t);
-                t = ColOps::shr(t, fb);
-            }
-            const CVec nh = ColOps::band(
-                    ColOps::bxor(
-                            ColOps::shl(ColOps::loadu(bank + b),
-                                        ColOps::loadu(v.shifts + b)),
-                            ColOps::band(f,
-                                         ColOps::loadu(v.fold_masks
-                                                       + b))),
-                    ColOps::loadu(v.index_masks + b));
-            ColOps::storeu(bank + b, nh);
-        }
-    });
-}
-
-/** Route the runtime FCM/DFCM and stride-width flags to the right
- *  compile-time gather instantiation. */
-template <class Ops, class ColOps>
-inline void
-runMgGatherAll(const MgSimdView& v, std::span<const TraceRecord> trace)
-{
-    if (v.dfcm) {
-        if (v.widen)
-            runMgGather<Ops, ColOps, true, true>(v, trace);
-        else
-            runMgGather<Ops, ColOps, true, false>(v, trace);
-    } else {
-        runMgGather<Ops, ColOps, false, false>(v, trace);
-    }
-}
-
-/**
- * The stream-packed kernel: execute a canonical 16-lane schedule
- * (MgPackedView) in which every lane of a step carries one record
- * from a distinct level-1 entry. Unlike the column kernel above —
- * which walks *one* stream and vectorizes across geometry columns —
- * this tier vectorizes across independent streams, which finally
- * gives the level-2 probes a common gather base: all lanes of a
- * column probe the same shard-owned table.
- *
- * Per (step, column) the observable order is fixed by contract:
- *
- *   1. gather the 16 pre-update hashes from the history bank;
- *   2. gather the 16 level-2 slots and compare against the lane
- *      values (prediction counters via mask popcount — a lane only
- *      counts when its raw 64-bit value fits value_mask, which the
- *      packer precomputed into step_fits);
- *   3. scatter the stored values back in ascending lane order
- *      (duplicate level-2 indices: highest lane wins, matching
- *      vpscatterdd);
- *   4. scatter the advanced hashes (lane entries are distinct within
- *      a step, so these never collide).
- *
- * A backend narrower than 16 lanes (AVX2) runs each phase over all
- * sub-vectors before the next phase, preserving the same order. The
- * u32 widening argument for DFCM strides: (lastv + signextend32(st))
- * & value_mask equals the 64-bit reference expression truncated to
- * value_bits <= 32 bits, because both addends agree with the
- * reference modulo 2^32.
- */
-template <class Ops, bool kDfcm, bool kWiden>
-inline void
-runMgPacked(const MgPackedView& v)
-{
-    using Vec = typename Ops::Vec;
-    constexpr unsigned kW = simd::kPackLanes;
-    static_assert(kW % Ops::kLanes == 0 && Ops::kLanes <= kW,
-                  "pack width must be a whole number of vectors");
-    constexpr unsigned kSub = kW / Ops::kLanes;
-    constexpr std::uint32_t kSubMask =
-            static_cast<std::uint32_t>((1ull << Ops::kLanes) - 1);
-
-    const std::size_t n = v.n;
-    const Vec vmask = Ops::broadcast(v.value_mask);
-    const Vec smask = Ops::broadcast(v.stride_mask);
-    const Vec pnv =
-            Ops::broadcast(static_cast<std::uint32_t>(v.padded_n));
-    [[maybe_unused]] Vec wbit = Ops::broadcast(0);
-    if constexpr (kDfcm && kWiden)
-        wbit = Ops::broadcast(1u << (v.stride_bits - 1));
-
-    for (std::size_t s = 0; s < v.steps; ++s) {
-        const std::uint32_t* entries = v.lane_entry + s * kW;
-        const std::uint32_t* values = v.lane_value + s * kW;
-        const std::uint32_t active = v.step_active[s];
-        const std::uint32_t fits = v.step_fits[s];
-
-        Vec val[kSub];
-        Vec ebase[kSub];
-        [[maybe_unused]] Vec lastv[kSub];
-        Vec ins[kSub];
-        for (unsigned q = 0; q < kSub; ++q) {
-            val[q] = Ops::loadu(values + q * Ops::kLanes);
-            ebase[q] = Ops::mul(Ops::loadu(entries + q * Ops::kLanes),
-                                pnv);
-        }
-        if constexpr (kDfcm) {
-            // last[] is u64 per entry; a scalar gather into a lane
-            // buffer keeps the vector core 32-bit. Inactive lanes
-            // read entry 0 — harmless, masked out below.
-            alignas(64) std::uint32_t lastbuf[kW];
-            for (unsigned l = 0; l < kW; ++l)
-                lastbuf[l] = static_cast<std::uint32_t>(
-                        v.last[entries[l]]);
-            for (unsigned q = 0; q < kSub; ++q) {
-                lastv[q] = Ops::loadu(lastbuf + q * Ops::kLanes);
-                ins[q] = Ops::band(Ops::sub(val[q], lastv[q]), vmask);
-            }
-        } else {
-            for (unsigned q = 0; q < kSub; ++q)
-                ins[q] = val[q];
-        }
-
-        for (std::size_t c = 0; c < n; ++c) {
-            const Vec cv = Ops::broadcast(static_cast<std::uint32_t>(c));
-            Vec hidx[kSub];
-            Vec h[kSub];
-            Vec slot[kSub];
-            for (unsigned q = 0; q < kSub; ++q) {
-                hidx[q] = Ops::add(ebase[q], cv);
-                h[q] = Ops::gather32(v.hists, hidx[q]);
-            }
-            for (unsigned q = 0; q < kSub; ++q)
-                slot[q] = Ops::gather32(v.l2[c], h[q]);
-
-            std::uint32_t eq = 0;
-            for (unsigned q = 0; q < kSub; ++q) {
-                Vec pred;
-                if constexpr (kDfcm) {
-                    Vec st = slot[q];
-                    if constexpr (kWiden)
-                        st = Ops::sub(Ops::bxor(st, wbit), wbit);
-                    pred = Ops::band(Ops::add(lastv[q], st), vmask);
-                } else {
-                    pred = slot[q];
-                }
-                eq |= Ops::cmpeqMask(pred, val[q]) << (q * Ops::kLanes);
-            }
-            v.correct[c] += static_cast<unsigned>(
-                    std::popcount(eq & fits));
-
-            for (unsigned q = 0; q < kSub; ++q) {
-                const Vec stv = kDfcm ? Ops::band(ins[q], smask)
-                                      : val[q];
-                Ops::scatter32(v.l2[c], h[q], stv,
-                               (active >> (q * Ops::kLanes)) & kSubMask);
-            }
-
-            const Vec shv = Ops::broadcast(v.shifts[c]);
-            const Vec fbv = Ops::broadcast(v.fold_bits[c]);
-            const Vec fmv = Ops::broadcast(v.fold_masks[c]);
-            const Vec imv = Ops::broadcast(v.index_masks[c]);
-            for (unsigned q = 0; q < kSub; ++q) {
-                Vec f = Ops::broadcast(0);
-                Vec t = ins[q];
-                for (unsigned k = 0; k < v.chunks; ++k) {
-                    f = Ops::bxor(f, t);
-                    t = Ops::shr(t, fbv);
-                }
-                const Vec nh = Ops::band(
-                        Ops::bxor(Ops::shl(h[q], shv),
-                                  Ops::band(f, fmv)),
-                        imv);
-                Ops::scatter32(v.hists, hidx[q], nh,
-                               (active >> (q * Ops::kLanes)) & kSubMask);
-            }
-        }
-
-        if constexpr (kDfcm) {
-            for (unsigned l = 0; l < kW; ++l)
-                if (active & (1u << l))
-                    v.last[entries[l]] = values[l];
-        }
-    }
-}
-
-/** Route the runtime FCM/DFCM and stride-width flags to the right
- *  compile-time packed instantiation. */
-template <class Ops>
-inline void
-runMgPackedAll(const MgPackedView& v)
-{
-    if (v.dfcm) {
-        if (v.widen)
-            runMgPacked<Ops, true, true>(v);
-        else
-            runMgPacked<Ops, true, false>(v);
-    } else {
-        runMgPacked<Ops, false, false>(v);
     }
 }
 

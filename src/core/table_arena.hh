@@ -162,11 +162,11 @@ class TableBuffer
     /**
      * Pin this buffer to an explicit arena mode instead of the
      * process-wide activeMode(), re-homing the current allocation
-     * (contents preserved) if its backing would change. This is how
-     * the big-L2 benchmark measures the plain-page std::vector
-     * -equivalent baseline and the huge-page arena path head-to-head
-     * in one process — activeMode() itself is resolved once and
-     * deliberately immutable.
+     * (contents preserved) if its backing would change. This lets an
+     * A/B time the plain-page std::vector-equivalent baseline and
+     * the huge-page arena path head-to-head in one process —
+     * activeMode() itself is resolved once and deliberately
+     * immutable.
      */
     void
     setArenaMode(ArenaMode m)

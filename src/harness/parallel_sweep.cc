@@ -270,7 +270,7 @@ ParallelSweep::runGrid(const std::vector<PredictorConfig>& configs,
     // to (scalar when no rows batched — the per-config paths never
     // vectorize).
     const SimdBackend backend = execution_.batched_cells > 0
-            ? activeSimdBackend()
+            ? bestSimdBackend()
             : SimdBackend::Scalar;
     execution_.simd_backend = simdBackendName(backend);
     execution_.vector_width = simdVectorBits(backend);

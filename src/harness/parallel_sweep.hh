@@ -61,15 +61,8 @@ struct SweepExecution
     // this run (schema_version 4): the backend label from
     // simdBackendName() and its vector width in bits. "scalar"/64
     // when no vector backend ran (or none was built in).
-    std::string simd_backend = "scalar";  //!< active kernel backend
+    std::string simd_backend = "scalar";  //!< dispatched kernel backend
     unsigned vector_width = 64;           //!< backend vector bits
-
-    // Gather column tier in effect for this run (schema_version 8):
-    // the REPRO_GATHER_COLUMNS threshold the kernels resolved (0 =
-    // tier disabled) and how many columns across the run's geometries
-    // actually took the batched vpgatherdd probe path.
-    unsigned gather_min_bits = 0;        //!< resolved gather threshold
-    std::uint64_t gather_columns = 0;    //!< columns on the gather path
 
     /** Dominant path label: "multi-geometry", "fused", "virtual",
      *  "mixed", or "empty" for a zero-cell grid. */

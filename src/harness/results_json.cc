@@ -90,7 +90,7 @@ ResultsJsonWriter::toJson() const
 
     std::ostringstream os;
     os << "{\n"
-       << "  \"schema_version\": 8,\n"
+       << "  \"schema_version\": 9,\n"
        << "  \"experiment\": \"" << escape(experiment_) << "\",\n"
        << "  \"trace_scale\": " << jsonNumber(trace_scale_) << ",\n"
        << "  \"jobs\": " << jobs_ << ",\n"
@@ -113,8 +113,6 @@ ResultsJsonWriter::toJson() const
            << ", \"simd_backend\": \""
            << escape(execution_->simd_backend)
            << "\", \"vector_width\": " << execution_->vector_width
-           << ", \"gather_min_bits\": " << execution_->gather_min_bits
-           << ", \"gather_columns\": " << execution_->gather_columns
            << " },\n";
     }
     for (const auto& [name, kvs] : sections_) {

@@ -119,9 +119,6 @@ PredictionService::stats() const
         if (!s.correct.empty())
             agg.correct_col0 += s.correct[0];
         agg.flushes += s.flushes;
-        agg.packed_steps += s.packed_steps;
-        agg.gather_records += s.gather_records;
-        agg.scalar_records += s.scalar_records;
         agg.max_backlog = std::max(agg.max_backlog, s.max_backlog);
         agg.quota_grows += s.quota_grows;
         agg.quota_shrinks += s.quota_shrinks;

@@ -66,11 +66,7 @@ struct ServiceStats
     std::uint64_t spilled_streams = 0;
     /** Correct predictions for the kernels' first level-2 column. */
     std::uint64_t correct_col0 = 0;
-    // Stream-packed feed observability (see ShardStats).
-    std::uint64_t flushes = 0;
-    std::uint64_t packed_steps = 0;
-    std::uint64_t gather_records = 0;
-    std::uint64_t scalar_records = 0;
+    std::uint64_t flushes = 0;  //!< segments fed (see ShardStats)
     // Adaptive-drain observability (summed across shards).
     std::uint64_t max_backlog = 0;  //!< max over shards, not summed
     std::uint64_t quota_grows = 0;

@@ -13,11 +13,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
-
-#include "core/cpu_features.hh"
 
 namespace vpred::service
 {
@@ -62,11 +59,6 @@ struct ServiceConfig
     std::size_t sweep_quota_max = std::size_t{1} << 20;
     /** Per-drain p99 ingest-to-predict SLO driving quota shrink. */
     std::uint64_t drain_slo_ns = 50'000'000;
-
-    /** Packed-feed backend override; nullopt = activeSimdBackend()
-     *  at shard construction. Program-chosen (the scaling sweep sets
-     *  it per point), never an env knob. */
-    std::optional<SimdBackend> backend;
 
     /**
      * Defaults overridden by the environment:

@@ -29,7 +29,6 @@ constexpr std::uint32_t kNoSpill = ~std::uint32_t{0};
 
 Shard::Shard(const ServiceConfig& cfg)
     : kernel_(kernelConfig(cfg)), capacity_(kernel_.l1Entries()),
-      backend_(cfg.backend ? *cfg.backend : activeSimdBackend()),
       map_(capacity_), slot_stream_(capacity_, 0),
       slot_epoch_(capacity_, 0), slot_spill_(capacity_, kNoSpill),
       flush_threshold_(std::max<std::size_t>(1, capacity_ / 2)),
@@ -187,7 +186,7 @@ Shard::admitRange(std::uint64_t now_ns, LatencyHistogram& drain_latency)
         // Segment boundary: cut the batch *here*, between updates,
         // rather than inside admit() — eviction then only ever sees
         // fully-flushed slots, and the kernel still receives large
-        // packed batches even when every admission evicts.
+        // batches even when every admission evicts.
         if (staged_streams_ >= flush_threshold_)
             flushBatch();
         const std::uint32_t slot = admit(u.stream);
@@ -241,16 +240,11 @@ Shard::flushBatch()
 {
     if (batch_.empty())
         return;
-    PackedFeedInfo info;
-    const std::vector<PredictorStats> s =
-            kernel_.feedTracePacked(batch_, backend_, &info);
+    const std::vector<PredictorStats> s = kernel_.feedTrace(batch_);
     for (std::size_t c = 0; c < s.size(); ++c)
         stats_.correct[c] += s[c].correct;
     stats_.predictions += batch_.size();
     stats_.flushes += 1;
-    stats_.packed_steps += info.steps;
-    stats_.gather_records += info.gather_records;
-    stats_.scalar_records += info.scalar_records;
     batch_.clear();
     staged_streams_ = 0;
     ++epoch_;
@@ -313,7 +307,10 @@ Shard::spillSlotFor(std::uint64_t stream)
     const auto spill_slot =
             static_cast<std::uint32_t>(spill_last_.size());
     spill_hists_.resize(spill_hists_.size() + kernel_.paddedColumns());
-    spill_last_.resize(spill_last_.size() + 1);  // new slot, zeroed
+    // New slot, zeroed. Sized from the 32-bit slot rather than
+    // size() + 1, which GCC 12 misreads as a possible wrap into
+    // TableBuffer's shrink path (-Wstringop-overflow under -Werror).
+    spill_last_.resize(spill_slot + std::size_t{1});
     spill_streams_.push_back(stream);
     [[maybe_unused]] const bool fresh =
             spill_index_.insert(stream, spill_slot);

@@ -16,9 +16,10 @@
  * thread — and the shard's pump thread drain()s by sweeping all
  * rings into a staging vector, admitting streams (restoring spilled
  * state bit-identically when a cold stream returns), and feeding the
- * batch through the kernel's *stream-packed* tier (feedTracePacked):
- * records from distinct resident streams execute 16 to a vector step
- * with gather/scatter level-2 probes.
+ * batch through the kernel's plain feedTrace() in arrival order — so
+ * the shard's level-2 tables, and with them its hit counts, see
+ * exactly the order in which the rings delivered the records, no
+ * matter where drains and segment flushes cut the batches.
  *
  * The sweep is quota-bounded and adaptive: drain() moves at most
  * sweep_quota_ records per call, doubling the quota while rings run
@@ -33,7 +34,7 @@
  * eviction victim (its kernel state would be stale), and the segment
  * is flushed once the staged-stream count reaches half the slot
  * table — so under heavy stream churn the kernel still sees large
- * packed batches instead of one feed per eviction.
+ * batches instead of one feed per eviction.
  *
  * Concurrency contract: tryEnqueue()/flushProducer() are safe from
  * the owning producer's thread concurrently with everything;
@@ -93,10 +94,7 @@ struct ShardStats
     std::uint64_t restores = 0;     //!< spilled streams re-admitted
     std::uint64_t max_backlog = 0;  //!< deepest summed ring occupancy
                                     //!< seen at drain entry
-    std::uint64_t flushes = 0;      //!< packed segments fed
-    std::uint64_t packed_steps = 0; //!< 16-lane steps executed
-    std::uint64_t gather_records = 0;  //!< records on a gather backend
-    std::uint64_t scalar_records = 0;  //!< records on the scalar path
+    std::uint64_t flushes = 0;      //!< segments fed to the kernel
     std::uint64_t quota_grows = 0;   //!< sweep-quota doublings
     std::uint64_t quota_shrinks = 0; //!< sweep-quota halvings
     /** Correct predictions per kernel column. */
@@ -193,7 +191,7 @@ class Shard
     void installStream(std::uint64_t stream, const StreamState& state);
 
   private:
-    /** Feed every record in pending_ through admit and the packed
+    /** Feed every record in pending_ through admit and the staged
      *  batch, with the two-stage prefetch pipeline. */
     void admitRange(std::uint64_t now_ns,
                     LatencyHistogram& drain_latency);
@@ -205,7 +203,6 @@ class Shard
 
     MultiGeomDfcmKernel kernel_;
     std::size_t capacity_;
-    SimdBackend backend_;  //!< packed-feed backend, resolved once
 
     // Resident-stream bookkeeping, indexed by kernel slot. The epoch
     // advances once per segment flush, so slot_epoch_[s] == epoch_

@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "core/cpu_features.hh"
 #include "core/multi_geom.hh"
 #include "core/predictor_factory.hh"
 #include "core/stats.hh"
@@ -419,6 +420,9 @@ TEST(BatchSweep, Fig10GridMatchesPerConfigOnAllPaperWorkloads)
         EXPECT_EQ(e.path(), "multi-geometry");
         EXPECT_EQ(e.batched_cells, e.cells);
         EXPECT_LT(e.trace_walks, e.cells);
+        // The report names the backend the column kernel dispatched.
+        EXPECT_EQ(e.simd_backend, simdBackendName(bestSimdBackend()));
+        EXPECT_EQ(e.vector_width, simdVectorBits(bestSimdBackend()));
     }
     {
         ScopedEnv off("REPRO_BATCH_SWEEP", "0");
@@ -427,6 +431,7 @@ TEST(BatchSweep, Fig10GridMatchesPerConfigOnAllPaperWorkloads)
         EXPECT_EQ(e.path(), "fused");
         EXPECT_EQ(e.batched_cells, 0u);
         EXPECT_EQ(e.trace_walks, e.cells);
+        EXPECT_EQ(e.simd_backend, "scalar");
     }
     expectSameResults(batched, unbatched);
 }

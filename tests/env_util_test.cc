@@ -1,14 +1,15 @@
 /**
  * @file
  * Tests for the checked environment-variable parsing layer
- * (core/env_util.hh) and the three call sites that predate the
- * parse_util migration: REPRO_TRACE_SCALE lives in harness_test.cc;
- * REPRO_BATCH_SWEEP and REPRO_SIMD are covered here together with
- * the generic helpers. The contract under test: unset/empty selects
- * the default, a valid in-range value is used verbatim, and
- * everything else — trailing garbage, out-of-range, negative where
- * unsigned, unrecognized flag spellings — exits with status 2 after
- * one self-explanatory stderr line naming the variable.
+ * (core/env_util.hh) and the call sites that predate the parse_util
+ * migration: REPRO_TRACE_SCALE lives in harness_test.cc;
+ * REPRO_BATCH_SWEEP is covered here together with the generic
+ * helpers and the REPRO_SERVICE_* knobs. The contract under test:
+ * unset/empty selects the default, a valid in-range value is used
+ * verbatim, and everything else — trailing garbage, out-of-range,
+ * negative where unsigned, unrecognized flag spellings — exits with
+ * status 2 after one self-explanatory stderr line naming the
+ * variable.
  */
 
 #include "core/env_util.hh"
@@ -17,7 +18,6 @@
 
 #include <cstdlib>
 
-#include "core/cpu_features.hh"
 #include "harness/batch_sweep.hh"
 #include "service/service_config.hh"
 
@@ -154,21 +154,6 @@ TEST(ServiceEnvDeathTest, OutOfRangeBatchIsFatal)
     ScopedEnv e("REPRO_SERVICE_BATCH", "0");
     EXPECT_EXIT(service::ServiceConfig::fromEnv(),
                 ::testing::ExitedWithCode(2), "REPRO_SERVICE_BATCH");
-}
-
-TEST(SimdEnvDeathTest, UnknownBackendNameIsFatal)
-{
-    // REPRO_SIMD=sse3 used to warn and silently dispatch to the best
-    // backend, measuring the wrong kernel.
-    ScopedEnv e("REPRO_SIMD", "sse3");
-    EXPECT_EXIT(activeSimdBackend(), ::testing::ExitedWithCode(2),
-                "REPRO_SIMD");
-}
-
-TEST(SimdEnv, EmptyStillSelectsBest)
-{
-    ScopedEnv e("REPRO_SIMD", "");
-    EXPECT_EQ(activeSimdBackend(), bestSimdBackend());
 }
 
 } // namespace

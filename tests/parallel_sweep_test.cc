@@ -236,15 +236,12 @@ TEST(ResultsJson, SerializesSchemaFields)
     exec.acquisition_seconds = 0.25;
     exec.simd_backend = "avx2";
     exec.vector_width = 256;
-    exec.gather_min_bits = 18;
-    exec.gather_columns = 24;
     json.setExecution(exec);
     const std::string s = json.toJson();
-    EXPECT_NE(s.find("\"schema_version\": 8"), std::string::npos);
+    EXPECT_NE(s.find("\"schema_version\": 9"), std::string::npos);
     EXPECT_NE(s.find("\"simd_backend\": \"avx2\""), std::string::npos);
     EXPECT_NE(s.find("\"vector_width\": 256"), std::string::npos);
-    EXPECT_NE(s.find("\"gather_min_bits\": 18"), std::string::npos);
-    EXPECT_NE(s.find("\"gather_columns\": 24"), std::string::npos);
+    EXPECT_EQ(s.find("\"gather_"), std::string::npos);
     EXPECT_NE(s.find("\"trace_store_enabled\": true"),
               std::string::npos);
     EXPECT_NE(s.find("\"trace_store_hits\": 1"), std::string::npos);

@@ -3,9 +3,9 @@
  * Tests for the always-on sharded prediction service: the
  * shard-count determinism contract on per-stream level-1 state, the
  * eviction -> snapshot -> restore bit-identity guarantee, the
- * spill/restore path against a single-stream reference kernel, the
- * SlotMap and LatencyHistogram building blocks, and a
- * multi-producer ingest race. Lives in its own binary labelled
+ * spill/restore path against a single-stream reference kernel, hit
+ * counts that follow arrival order, the SlotMap and LatencyHistogram
+ * building blocks, and a multi-producer ingest race. Lives in its own binary labelled
  * "concurrency" so the race runs under ThreadSanitizer.
  */
 
@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -161,6 +162,70 @@ TEST(ServiceDeterminism, SpilledStateMatchesSingleStreamReference)
                 << "stream " << s;
         EXPECT_EQ(got->last, ref.lastValue(0)) << "stream " << s;
     }
+}
+
+TEST(ServiceDeterminism, HitCountsFollowArrivalOrder)
+{
+    // A shard feeds its records to the kernel in arrival order, so its
+    // shared level-2 table sees exactly the sequence a reference
+    // kernel sees when it replays the shard's records in push order
+    // with one level-1 entry per stream — wherever drains and segment
+    // flushes cut the batches. Four resident slots per shard against
+    // hundreds of streams make nearly every burst evict and restore.
+    ServiceConfig cfg;
+    cfg.shards = 2;
+    cfg.l1_bits = 2;
+    // One small column: correct_col0 then covers every count, and
+    // strides of different streams collide in the level-2 table.
+    cfg.l2_bits = {6};
+    constexpr std::uint64_t kStreams = 300;
+    constexpr std::uint64_t kRecords = 20000;
+    PredictionService service(cfg);
+
+    // Even streams stride, odd streams cycle through a short context
+    // pattern. Streams arrive in bursts of 1-4 records, so a segment
+    // holds several records of one stream between other streams'.
+    const auto value = [](std::uint64_t stream, std::uint64_t step) {
+        if (stream % 2 == 0)
+            return (stream * 977 + step * (stream % 7 + 1))
+                    & 0xffffffffull;
+        return mixStreamId(stream * 16 + step % (2 + stream % 5))
+                & 0xffffull;
+    };
+    std::mt19937_64 rng(0x5eed);
+    std::vector<std::uint64_t> steps(kStreams, 0);
+    std::vector<ValueTrace> arrivals(service.shards());
+    Producer prod = service.registerProducer();
+    for (std::uint64_t i = 0; i < kRecords;) {
+        const std::uint64_t s = rng() % kStreams;
+        for (std::uint64_t run = 1 + rng() % 4; run > 0 && i < kRecords;
+             --run, ++i) {
+            const Value v = value(s, steps[s]++);
+            push(service, prod, s, v, i);
+            arrivals[service.shardOf(s)].push_back({Pc{s}, v});
+        }
+    }
+    service.flush(prod);
+    while (service.pump(kRecords) != 0) {
+    }
+    service.unregisterProducer(prod);
+
+    const ServiceStats stats = service.stats();
+    ASSERT_EQ(stats.predictions, kRecords);
+    // Every burst of a non-resident stream evicts another one.
+    ASSERT_GT(stats.evictions, kRecords / 4);
+    ASSERT_GT(stats.restores, kRecords / 4);
+
+    MultiGeomConfig ref_cfg;
+    ref_cfg.l1_bits = 9;  // 512 entries: every stream id its own
+    ref_cfg.l2_bits = cfg.l2_bits;
+    std::uint64_t want = 0;
+    for (const ValueTrace& shard_trace : arrivals) {
+        MultiGeomDfcmKernel ref(ref_cfg);
+        want += ref.runTrace(shard_trace)[0].correct;
+    }
+    EXPECT_GT(want, 0u);
+    EXPECT_EQ(stats.correct_col0, want);
 }
 
 TEST(ServiceSnapshot, EvictSnapshotRestoreIsBitIdentical)

@@ -4,14 +4,13 @@
  * backend this build carries (core/cpu_features.hh) must reproduce
  * the scalar reference path exactly — over the full Figure 10 l2
  * column on all paper workloads (reduced trace scale, CTest label
- * "perf"), over randomized geometries with a fixed-seed fuzzer, and
- * under the REPRO_SIMD environment override that forces dispatch
- * down to scalar.
+ * "perf") and over randomized geometries with a fixed-seed fuzzer;
+ * a backend this build or CPU cannot run falls back to the scalar
+ * reference path.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
@@ -28,32 +27,6 @@ namespace
 {
 
 using namespace vpred;
-
-/** RAII environment-variable override. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char* name, const char* value) : name_(name)
-    {
-        const char* old = std::getenv(name);
-        had_old_ = old != nullptr;
-        if (had_old_)
-            old_ = old;
-        ::setenv(name, value, 1);
-    }
-    ~ScopedEnv()
-    {
-        if (had_old_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-  private:
-    const char* name_;
-    std::string old_;
-    bool had_old_ = false;
-};
 
 /** Backends to test against the scalar reference: everything this
  *  build carries beyond Scalar itself. */
@@ -145,57 +118,6 @@ TEST(SimdKernel, RandomizedGeometryFuzzMatchesScalar)
         SCOPED_TRACE("fuzz iteration " + std::to_string(iter));
         expectBackendsMatchScalar(geom, {trace.data(), trace.size()});
     }
-}
-
-TEST(SimdKernel, ReproSimdZeroForcesScalarDispatch)
-{
-    ScopedEnv off("REPRO_SIMD", "0");
-    EXPECT_EQ(activeSimdBackend(), SimdBackend::Scalar);
-
-    // The dispatched runTrace() must now take the scalar path and
-    // still produce the reference results.
-    const ValueTrace trace = tracegen::makeMixedTrace(
-            {.stride_instructions = 6,
-             .constant_instructions = 2,
-             .context_instructions = 4,
-             .random_instructions = 1,
-             .seed = 99},
-            4096);
-    MultiGeomConfig geom;
-    geom.l1_bits = 8;
-    geom.l2_bits = harness::paperL2Bits();
-    MultiGeomDfcmKernel kernel(geom);
-    EXPECT_EQ(kernel.runTrace({trace.data(), trace.size()}),
-              kernel.runTrace({trace.data(), trace.size()},
-                              SimdBackend::Scalar));
-}
-
-TEST(SimdKernel, ReproSimdSelectsNamedBackend)
-{
-    for (SimdBackend b : availableSimdBackends()) {
-        ScopedEnv pin("REPRO_SIMD", simdBackendName(b));
-        EXPECT_EQ(activeSimdBackend(), b)
-                << "REPRO_SIMD=" << simdBackendName(b);
-    }
-    {
-        ScopedEnv best("REPRO_SIMD", "best");
-        EXPECT_EQ(activeSimdBackend(), bestSimdBackend());
-    }
-}
-
-TEST(SimdKernel, ReproSimdParsesAvx512)
-{
-    // "avx512" is a recognized REPRO_SIMD value on every build: where
-    // the backend runs it is selected, elsewhere the request degrades
-    // to the scalar kernels (warning once) instead of erroring out —
-    // the same contract as every other real backend name.
-    EXPECT_EQ(simdVectorBits(SimdBackend::Avx512), 512u);
-    EXPECT_STREQ(simdBackendName(SimdBackend::Avx512), "avx512");
-    ScopedEnv pin("REPRO_SIMD", "avx512");
-    if (simdBackendAvailable(SimdBackend::Avx512))
-        EXPECT_EQ(activeSimdBackend(), SimdBackend::Avx512);
-    else
-        EXPECT_EQ(activeSimdBackend(), SimdBackend::Scalar);
 }
 
 TEST(SimdKernel, UnavailableBackendFallsBackToScalar)

@@ -13,12 +13,14 @@
 #   service  reduced-scale prediction-service smoke run
 #            (REPRO_SERVICE_SMOKE=1 REPRO_SERVICE_SCALING=1: ~10k
 #            streams through bench_service_load in a scratch cwd,
-#            plus the 2-point reduced scaling sweep) — exercises the
-#            sharded ingest/evict/spill path and the thread-scaling
-#            harness end to end and checks that BENCH_service.json
-#            carries the "scaling" table
-#   perf     reduced-scale bench_throughput run plus a service smoke
-#            run in scratch cwds, then bench-compare against the
+#            plus the 2-point reduced scaling sweep on the dispatched
+#            SIMD backend) — exercises the sharded ingest/evict/spill
+#            path, the arrival-order kernel feed and the
+#            thread-scaling harness end to end and checks that
+#            BENCH_service.json carries the "scaling" table
+#   perf     reduced-scale bench_throughput run plus a full-scale
+#            bench_service_load run in scratch cwds, then
+#            bench-compare against the
 #            committed results/BENCH_throughput.json and
 #            results/BENCH_service.json (records/s drop beyond
 #            REPRO_PERF_THRESHOLD, default 25%, or a "_p50"/"_p99"
@@ -136,7 +138,7 @@ if want service; then
     )
     [ -s "$SERVICE_DIR/results/BENCH_service.json" ] || {
         echo "service smoke did not emit BENCH_service.json" >&2; exit 1; }
-    # The reduced sweep (2 points on the active backend) proves the
+    # The reduced sweep (2 points on the dispatched backend) proves the
     # producer/thread harness works end to end; monotonicity is only
     # asserted on the full-scale committed run (EXPERIMENTS.md), not
     # on this noise-prone smoke shape.
@@ -189,15 +191,16 @@ if want perf; then
     perf_gate results/BENCH_throughput.json \
         "$ROOT/build-check-release/bench/bench_throughput" \
         REPRO_TRACE_SCALE="${REPRO_PERF_SCALE:-0.25}"
-    # The service baseline is gated the same way, against a smoke run
-    # (metrics the smoke shape does not produce are reported as
-    # one-sided and never fail; the smoke rate sits above the
-    # full-scale committed rate because the working set shrinks with
-    # the stream population, mirroring the reduced-trace-scale
-    # throughput run above).
+    # The service baseline is gated the same way, against a run of
+    # the same full-scale shape (1M streams, default shard and
+    # producer counts): its rate depends on the shard count the host
+    # resolves, and on a multi-core host a ~10k-stream smoke run is
+    # dominated by fixed start-up costs and lands far below the
+    # full-scale rate, so only the committed shape compares like
+    # for like. Metrics only one side produces (the committed
+    # "scaling" rows) are reported as one-sided and never fail.
     perf_gate results/BENCH_service.json \
-        "$ROOT/build-check-release/bench/bench_service_load" \
-        REPRO_SERVICE_SMOKE=1
+        "$ROOT/build-check-release/bench/bench_service_load"
 fi
 
 if want figures; then
