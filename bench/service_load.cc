@@ -14,8 +14,8 @@
  * number folding both. Every stream follows a per-stream stride
  * sequence derived from its id, so the DFCM kernels converge to a
  * high hit rate once warm — and the stream population is far larger
- * than the resident capacity, so eviction, spill and restore run
- * continuously at full load.
+ * than the shards' initial level-1 tables, so every table grows by
+ * doubling during the run.
  *
  * REPRO_SERVICE_SCALING=1 appends the thread-scaling sweep:
  * {1,2,4 producer threads} x {1,2 shards} points at
@@ -30,7 +30,7 @@
  * ingest-to-predict latency (gated as latency quantiles), the col-0
  * hit rate, peak RSS, the "service"/"drain_batches" sections, an
  * "ingest_fabric" section (ring geometry, publish and full-ring
- * counters, adaptive-quota activity), a "producer_blocked" section
+ * counters, max backlog), a "producer_blocked" section
  * (the distinct blocked-time histogram), and the optional "scaling"
  * table.
  */
@@ -227,16 +227,6 @@ main()
         // fixed costs amortize. 64Ki slots x 24 B = 1.5 MiB/ring.
         cfg.ring_capacity = 65536;
     }
-    if (!vpred::envRaw("REPRO_SERVICE_RING_SLO_NS")) {
-        // The drain SLO bounds ingest-to-predict p99, which at this
-        // bench's ring depth is dominated by time *queued in the
-        // ring*: a saturated 64Ki ring is itself ~20 ms of work per
-        // producer. The library default (50 ms) is tuned for its
-        // default 4Ki rings; scale it with the deeper rings so the
-        // adaptive quota reacts to drains slowing down, not to the
-        // depth we deliberately configured.
-        cfg.drain_slo_ns = 250'000'000;
-    }
     std::optional<PredictionService> service;
     service.emplace(cfg);
     const unsigned n_shards = service->shards();
@@ -249,7 +239,7 @@ main()
 
     std::cout << "service_load: " << n_streams << " streams x "
               << rounds << " rounds over " << n_shards
-              << " shards (resident "
+              << " shards (initial level-1 table "
               << (std::uint64_t{1} << cfg.l1_bits) << "/shard), "
               << n_producers << " producers, ring "
               << cfg.ring_capacity << " x publish "
@@ -259,8 +249,8 @@ main()
     // gate: the measured section is ~1 s of wall clock, squarely in
     // the regime where one scheduler burst on a shared box moves the
     // committed headline by more than a real regression would. The
-    // kernel-state counters (hit rate, evictions, spills) are
-    // deterministic across attempts; only wall time varies. Each
+    // kernel-state counters (hit rate, resident streams) barely
+    // move between attempts; wall time is what varies. Each
     // attempt gets a fresh service, and the previous one is torn
     // down first so peak RSS still measures a single instance.
     const unsigned attempts = smoke
@@ -296,17 +286,14 @@ main()
               << " us, p99 " << static_cast<double>(p99) / 1e3
               << " us\n"
               << "  resident " << r.stats.resident_streams
-              << ", spilled " << r.stats.spilled_streams
-              << ", evictions " << r.stats.evictions << ", restores "
-              << r.stats.restores << ", kernel feeds " << r.stats.flushes
+              << ", kernel feeds " << r.stats.flushes
               << " (" << backend << ")\n  fabric: " << r.ingest.publishes
               << " publishes (mean batch " << mean_publish << "), "
               << r.ingest.full_events << " ring-full, blocked "
               << static_cast<double>(r.ingest.blocked_ns) / 1e6
               << " ms over " << r.ingest.blocked_events
               << " episodes, max backlog " << r.stats.max_backlog
-              << ", quota +" << r.stats.quota_grows << "/-"
-              << r.stats.quota_shrinks << "\n  peak RSS "
+              << "\n  peak RSS "
               << r.peak_rss << " MiB\n";
 
     vpred::harness::ResultsJsonWriter json("service", 1.0, n_shards);
@@ -330,10 +317,6 @@ main()
              {"records", static_cast<double>(r.records)},
              {"resident_streams",
               static_cast<double>(r.stats.resident_streams)},
-             {"spilled_streams",
-              static_cast<double>(r.stats.spilled_streams)},
-             {"evictions", static_cast<double>(r.stats.evictions)},
-             {"restores", static_cast<double>(r.stats.restores)},
              {"flushes", static_cast<double>(r.stats.flushes)},
              {"pump_calls", static_cast<double>(r.pumps)}});
     json.addSection(
@@ -359,11 +342,7 @@ main()
              {"full_events",
               static_cast<double>(r.ingest.full_events)},
              {"max_backlog",
-              static_cast<double>(r.stats.max_backlog)},
-             {"quota_grows",
-              static_cast<double>(r.stats.quota_grows)},
-             {"quota_shrinks",
-              static_cast<double>(r.stats.quota_shrinks)}});
+              static_cast<double>(r.stats.max_backlog)}});
     // The blocked-time histogram is deliberately its own section —
     // producer waits must not hide inside the ingest-to-predict
     // quantiles above (ticks are re-stamped per retry), and must not
@@ -444,8 +423,6 @@ main()
                          static_cast<double>(pr.ingest.full_events),
                          static_cast<double>(pr.ingest.blocked_ns),
                          static_cast<double>(pr.stats.max_backlog),
-                         static_cast<double>(pr.stats.quota_grows),
-                         static_cast<double>(pr.stats.quota_shrinks),
                          hitRate(pr.stats)});
             }
         }
@@ -453,8 +430,7 @@ main()
                       {"backend", "producers", "shards", "records",
                        "records_per_sec", "p50_ingest_to_predict_ns",
                        "p99_ingest_to_predict_ns", "full_events",
-                       "blocked_ns", "max_backlog", "quota_grows",
-                       "quota_shrinks", "hit_rate_col0"},
+                       "blocked_ns", "max_backlog", "hit_rate_col0"},
                       std::move(rows));
     }
 

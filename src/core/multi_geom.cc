@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "core/multi_geom_simd.hh"
 #include "core/simd.hh"
@@ -112,7 +114,7 @@ MultiGeomKernelBase::MultiGeomKernelBase(const MultiGeomConfig& config)
       value_mask_(maskBits(config.value_bits)), max_order_(0)
 {
     assert(!config.l2_bits.empty());
-    assert(config.l1_bits <= 28);
+    assert(config.l1_bits <= kMaxL1Bits);
     assert(config.value_bits >= 1 && config.value_bits <= 32);
     cols_.reserve(config.l2_bits.size());
     for (unsigned l2 : config.l2_bits) {
@@ -179,14 +181,6 @@ MultiGeomKernelBase::setEntryHists(std::size_t entry,
     std::copy(hists.begin(), hists.end(),
               hists_.begin()
                       + static_cast<std::ptrdiff_t>(entry * padded_n_));
-}
-
-void
-MultiGeomKernelBase::clearEntryHists(std::size_t entry)
-{
-    const auto base = hists_.begin()
-            + static_cast<std::ptrdiff_t>(entry * padded_n_);
-    std::fill(base, base + static_cast<std::ptrdiff_t>(padded_n_), 0);
 }
 
 detail::MgSimdView
@@ -307,10 +301,22 @@ MultiGeomDfcmKernel::reset()
 }
 
 void
-MultiGeomDfcmKernel::clearEntry(std::size_t entry)
+MultiGeomDfcmKernel::growEntries(std::size_t n)
 {
-    clearEntryHists(entry);
-    last_[entry] = 0;
+    if (n <= l1Entries())
+        return;
+    if (n > std::size_t{1} << kMaxL1Bits)
+        throw std::length_error(
+                "level-1 table cannot grow to " + std::to_string(n)
+                + " entries (cap 2^" + std::to_string(kMaxL1Bits)
+                + ")");
+    while (l1Entries() < n)
+        ++cfg_.l1_bits;
+    l1_mask_ = maskBits(cfg_.l1_bits);
+    // The bank is entry-major, so growing it in place keeps every
+    // old entry at its index; both buffers zero-fill the new tail.
+    hists_.resize(l1Entries() * padded_n_);
+    last_.resize(l1Entries(), 0);
 }
 
 std::vector<PredictorStats>

@@ -130,7 +130,7 @@ class MultiGeomKernelBase
      * paddedColumns() lanes (padding lanes carry dead state and are
      * exported/imported verbatim). The span is the kernel's
      * relocatable per-entry level-1 state — the prediction service
-     * snapshots it on eviction and reinstalls it on restore; the
+     * writes it into snapshots and reinstalls it on restore; the
      * shared level-2 tables are deliberately *not* part of it.
      */
     std::span<const std::uint32_t>
@@ -144,10 +144,11 @@ class MultiGeomKernelBase
     void setEntryHists(std::size_t entry,
                        std::span<const std::uint32_t> hists);
 
-  protected:
-    /** Zero one entry's history bank (power-on state). */
-    void clearEntryHists(std::size_t entry);
+    /** Largest level-1 geometry: 2^28 entries, the cap the
+     *  per-config predictors share. */
+    static constexpr unsigned kMaxL1Bits = 28;
 
+  protected:
     explicit MultiGeomKernelBase(const MultiGeomConfig& config);
 
     /** Reset all level-1 and level-2 state to power-on zeros. */
@@ -232,9 +233,6 @@ class MultiGeomFcmKernel : public MultiGeomKernelBase
 
     /** Reset all state to power-on zeros. */
     void reset() { resetState(); }
-
-    /** Return one entry to power-on state (service eviction). */
-    void clearEntry(std::size_t entry) { clearEntryHists(entry); }
 };
 
 /**
@@ -266,9 +264,16 @@ class MultiGeomDfcmKernel : public MultiGeomKernelBase
     /** Reset all state (histories, level-2 tables, last values). */
     void reset();
 
-    /** Return one entry to power-on state (service eviction): zero
-     *  its history bank and its last value. */
-    void clearEntry(std::size_t entry);
+    /**
+     * Grow the level-1 table, by doubling, to at least @p n entries.
+     * Existing entries keep their state and the new ones start at
+     * power-on zeros, so feeding the grown kernel is bit-identical
+     * to having built it at the final size (the level-2 tables are
+     * untouched). This is how the prediction service gives every
+     * stream a permanent entry. No-op when @p n already fits.
+     * @throws std::length_error past 2^kMaxL1Bits entries.
+     */
+    void growEntries(std::size_t n);
 
     /** One entry's last value — with entryHists() this is the whole
      *  relocatable per-entry level-1 state of a DFCM. */

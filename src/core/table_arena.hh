@@ -7,10 +7,11 @@
  * allocation APIs.
  *
  * Every hot table in the reproduction — the multi-geometry level-2
- * columns (up to 2^28 x u32 each), the per-entry hashed-history bank,
- * the service SlotMap bucket arrays and the shard spill bank — used
- * to live in std::vector. That is correct but leaves two measurable
- * costs on the floor at the paper's realistic table sizes:
+ * columns (up to 2^28 x u32 each), the per-entry hashed-history bank
+ * (the service's per-stream store) and the service SlotMap bucket
+ * arrays — used to live in std::vector. That is correct but leaves
+ * two measurable costs on the floor at the paper's realistic table
+ * sizes:
  *
  *   - TLB pressure: a 4 MiB level-2 column spans 1024 4 KiB pages;
  *     an FS R-k probe stream touches them near-uniformly, so at
@@ -117,7 +118,8 @@ void deallocate(void* p, std::size_t bytes, ArenaBacking backing);
  * A hot-table buffer: zero-initialized, 64-byte-aligned, relocatable
  * storage for trivially-copyable table slots. Grows like a vector
  * (geometric capacity, contents preserved, new tail zeroed) so the
- * shard spill bank and the SlotMap can live here too.
+ * growing level-1 bank of a service shard and the SlotMap can live
+ * here too.
  */
 template <class T>
 class TableBuffer

@@ -24,7 +24,12 @@ constexpr const char* kSnapshotWorkload = "service-snapshot";
 
 /** Exact kernel geometry as a string, so restore can reject a
  *  snapshot whose column set differs even when SIMD padding makes
- *  the per-stream block length coincide. */
+ *  the per-stream block length coincide, or whose histories were
+ *  hashed by another function (value width, FS R-k shift). The
+ *  hash fields appear only when they differ from the defaults, so
+ *  default-geometry snapshots keep the tag older builds wrote.
+ *  stride_bits is absent: it narrows level-2 slots only, never
+ *  level-1 state. */
 std::string
 geometryTag(const ServiceConfig& cfg)
 {
@@ -34,6 +39,11 @@ geometryTag(const ServiceConfig& cfg)
             tag += ',';
         tag += std::to_string(cfg.l2_bits[i]);
     }
+    const ServiceConfig defaults;
+    if (cfg.value_bits != defaults.value_bits
+        || cfg.hash_shift != defaults.hash_shift)
+        tag += ";v=" + std::to_string(cfg.value_bits)
+                + ";h=" + std::to_string(cfg.hash_shift);
     return tag;
 }
 
@@ -114,16 +124,11 @@ PredictionService::stats() const
         const ShardStats& s = shard->stats();
         agg.ingested += s.ingested;
         agg.predictions += s.predictions;
-        agg.evictions += s.evictions;
-        agg.restores += s.restores;
         if (!s.correct.empty())
             agg.correct_col0 += s.correct[0];
         agg.flushes += s.flushes;
         agg.max_backlog = std::max(agg.max_backlog, s.max_backlog);
-        agg.quota_grows += s.quota_grows;
-        agg.quota_shrinks += s.quota_shrinks;
         agg.resident_streams += shard->residentStreams();
-        agg.spilled_streams += shard->spilledStreams();
     }
     return agg;
 }

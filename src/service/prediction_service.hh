@@ -6,9 +6,10 @@
  * update to its owning shard by a mixed hash of the stream id, and
  * pumps all shard queues in parallel on the harness ThreadPool. The
  * service is long-lived: state accumulates across pump() calls
- * (shards feed the fused multi-geometry kernels incrementally and
- * spill/restore cold streams), so millions of concurrent streams
- * are served from bounded resident table space.
+ * (shards feed the fused multi-geometry kernels incrementally), and
+ * every stream keeps its own level-1 entry for the service's life,
+ * in a per-shard table that doubles as streams arrive, so memory
+ * follows the number of distinct streams, not the traffic.
  *
  * Ingest is producer-registered: each producer thread obtains a
  * Producer token (registerProducer()) that names its private SPSC
@@ -60,17 +61,21 @@ struct ServiceStats
 {
     std::uint64_t ingested = 0;
     std::uint64_t predictions = 0;
+    /** Always 0: every stream keeps its level-1 entry, so nothing is
+     *  evicted or restored. Kept for callers that read it. */
     std::uint64_t evictions = 0;
-    std::uint64_t restores = 0;
+    std::uint64_t restores = 0;     //!< always 0, see evictions
+    /** Streams seen, each owning a level-1 entry in its shard. */
     std::uint64_t resident_streams = 0;
-    std::uint64_t spilled_streams = 0;
+    std::uint64_t spilled_streams = 0;  //!< always 0, see evictions
     /** Correct predictions for the kernels' first level-2 column. */
     std::uint64_t correct_col0 = 0;
-    std::uint64_t flushes = 0;  //!< segments fed (see ShardStats)
-    // Adaptive-drain observability (summed across shards).
+    std::uint64_t flushes = 0;  //!< chunks fed (see ShardStats)
     std::uint64_t max_backlog = 0;  //!< max over shards, not summed
+    /** Always 0: drains take each ring's backlog at entry, with no
+     *  adaptive quota. Kept for callers that read them. */
     std::uint64_t quota_grows = 0;
-    std::uint64_t quota_shrinks = 0;
+    std::uint64_t quota_shrinks = 0;  //!< always 0, see quota_grows
 };
 
 /** Ingest-fabric counters aggregated across shards and producers. */
@@ -190,6 +195,8 @@ class PredictionService
      * Drain every shard's rings once, in parallel on the pool.
      * @p now_ns stamps the latency histogram. Returns total records
      * fed to the kernels by this call.
+     * @throws std::length_error when a shard's level-1 table would
+     *         have to grow past 2^28 entries.
      */
     std::size_t pump(std::uint64_t now_ns);
 
@@ -201,7 +208,8 @@ class PredictionService
     /** Merged per-drain batch-size distribution across shards. */
     LatencyHistogram drainBatchRecords() const;
 
-    /** Per-stream level-1 state, wherever it lives. Quiescent only. */
+    /** Per-stream level-1 state; nullopt for a stream never seen.
+     *  Quiescent only. */
     std::optional<StreamState> streamState(std::uint64_t stream) const;
 
     /**
@@ -212,9 +220,13 @@ class PredictionService
 
     /**
      * Reinstall stream state from a snapshotTo() file. Geometry must
-     * match this service's kernels; streams land in their owning
-     * shard's spill area and resume on their next update.
+     * match this service's kernels (initial l1_bits, level-2 column
+     * set, value width and hash shift); each stream is installed
+     * straight into its entry in its owning shard and resumes on its
+     * next update.
      * @throws TraceIoError on a corrupt or mismatched snapshot.
+     * @throws std::length_error when a shard's level-1 table would
+     *         have to grow past 2^28 entries.
      */
     void restoreFrom(const std::string& path);
 

@@ -13,9 +13,6 @@ ServiceConfig::fromEnv()
     ServiceConfig cfg;
     cfg.shards = static_cast<unsigned>(
             envUIntOr("REPRO_SERVICE_SHARDS", cfg.shards, 0, 256));
-    cfg.batch_records = envUIntOr("REPRO_SERVICE_BATCH",
-                                  cfg.batch_records, 1,
-                                  std::size_t{1} << 20);
 
     cfg.ring_capacity = envUIntOr("REPRO_SERVICE_RING_CAP",
                                   cfg.ring_capacity, 2,
@@ -34,16 +31,6 @@ ServiceConfig::fromEnv()
     cfg.max_producers = static_cast<unsigned>(
             envUIntOr("REPRO_SERVICE_RING_PRODUCERS",
                       cfg.max_producers, 1, 1024));
-    cfg.sweep_quota_min = envUIntOr("REPRO_SERVICE_RING_QUOTA_MIN",
-                                    cfg.sweep_quota_min, 64,
-                                    std::size_t{1} << 24);
-    cfg.sweep_quota_max = envUIntOr("REPRO_SERVICE_RING_QUOTA_MAX",
-                                    cfg.sweep_quota_max,
-                                    cfg.sweep_quota_min,
-                                    std::size_t{1} << 24);
-    cfg.drain_slo_ns = envUIntOr("REPRO_SERVICE_RING_SLO_NS",
-                                 cfg.drain_slo_ns, 1,
-                                 std::uint64_t{1'000'000'000'000});
     return cfg;
 }
 

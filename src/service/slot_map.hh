@@ -2,14 +2,13 @@
  * @file
  * Open-addressing map from 64-bit stream ids to dense kernel slots.
  *
- * A shard's kernel owns 2^l1_bits level-1 entries; resident streams
- * are assigned dense entry indices so the kernel's bank stays fully
- * utilized regardless of how sparse the stream-id space is. The map
- * is the shard's hot lookup (one probe sequence per ingested
- * record), so it is a flat power-of-two table with linear probing
- * and backward-shift deletion — no tombstones accumulate across the
- * millions of evict/insert cycles of a long-running service, and
- * iteration order never matters (lookups only).
+ * A shard's directory: every stream is assigned the next dense
+ * level-1 entry index on its first arrival and keeps it for life, so
+ * the kernel's table stays fully utilized regardless of how sparse
+ * the stream-id space is. The map is the shard's hot lookup (one
+ * probe sequence per ingested record), so it is a flat power-of-two
+ * table with linear probing that only ever grows — keys are never
+ * removed, and iteration order never matters (lookups only).
  */
 
 #ifndef DFCM_SERVICE_SLOT_MAP_HH
@@ -39,8 +38,8 @@ class SlotMap
 {
   public:
     /**
-     * @param max_entries Upper bound on simultaneously-present keys
-     * (the shard's 2^l1_bits residency). The table is sized to stay
+     * @param max_entries Keys expected before the first growth (the
+     * shard's initial 2^l1_bits table). The table is sized to stay
      * at most half full, so probe chains stay short.
      */
     explicit SlotMap(std::size_t max_entries)
@@ -54,7 +53,7 @@ class SlotMap
 
     std::size_t size() const { return size_; }
 
-    /** Slot for @p stream, or nullopt when not resident. */
+    /** Slot for @p stream, or nullopt when absent. */
     std::optional<std::uint32_t>
     find(std::uint64_t stream) const
     {
@@ -67,9 +66,9 @@ class SlotMap
     }
 
     /** Pull @p stream's home bucket toward the cache ahead of a
-     *  find() — the spill index spans millions of streams, so a
-     *  cold probe is a full DRAM round trip the drain loop can
-     *  overlap with the records in front of it. */
+     *  find() — the directory spans millions of streams, so a cold
+     *  probe is a full DRAM round trip the drain loop can overlap
+     *  with the records in front of it. */
     void
     prefetch(std::uint64_t stream) const
     {
@@ -77,10 +76,9 @@ class SlotMap
     }
 
     /** Insert @p stream -> @p slot. Returns false (and changes
-     *  nothing) when the key is already present — residency
+     *  nothing) when the key is already present — directory
      *  bookkeeping gone wrong must surface as a checkable status,
-     *  not a corrupted table. Grows to stay at most half full, so
-     *  the map also serves the unbounded spill index. */
+     *  not a corrupted table. Grows to stay at most half full. */
     [[nodiscard]] bool
     insert(std::uint64_t stream, std::uint32_t slot)
     {
@@ -97,45 +95,11 @@ class SlotMap
         return true;
     }
 
-    /** Remove @p stream. Returns false when the key is not present
-     *  (previously an infinite probe loop — absence now reports
-     *  instead of hanging the drain). Backward-shift deletion keeps
-     *  every remaining key reachable without tombstones. */
-    [[nodiscard]] bool
-    erase(std::uint64_t stream)
-    {
-        std::size_t b = mixStreamId(stream) & mask_;
-        while (buckets_[b].key != stream || !buckets_[b].used) {
-            if (!buckets_[b].used)
-                return false;
-            b = (b + 1) & mask_;
-        }
-
-        std::size_t hole = b;
-        for (std::size_t next = (hole + 1) & mask_;
-             buckets_[next].used; next = (next + 1) & mask_) {
-            // A key may fill the hole only if its home bucket is not
-            // inside (hole, next] — the classic cyclic-range test.
-            const std::size_t home =
-                    mixStreamId(buckets_[next].key) & mask_;
-            const bool movable = ((next - home) & mask_)
-                    >= ((next - hole) & mask_);
-            if (movable) {
-                buckets_[hole].key = buckets_[next].key;
-                buckets_[hole].slot = buckets_[next].slot;
-                hole = next;
-            }
-        }
-        buckets_[hole].used = 0;
-        --size_;
-        return true;
-    }
-
   private:
     // One 16-byte bucket per probe position: a cold lookup touches a
     // single cache line instead of separate key/slot/used arrays
     // (three lines) — the difference is the whole probe cost once
-    // the spill index outgrows the last-level cache.
+    // the directory outgrows the last-level cache.
     struct Bucket
     {
         std::uint64_t key = 0;
@@ -161,7 +125,7 @@ class SlotMap
         mask_ = mask;
     }
 
-    /** Arena-backed: the spill index's bucket array grows to tens of
+    /** Arena-backed: the directory's bucket array grows to tens of
      *  MiB at service scale, exactly the huge-page regime, and the
      *  mmap backing's lazy zero pages mean the drain thread that
      *  probes the table is also the thread that faults it in

@@ -13,7 +13,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
+#include <map>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cpu_features.hh"
@@ -252,34 +257,140 @@ TEST(MultiGeomKernel, ChunkedFeedMatchesSingleRun)
 
 TEST(MultiGeomKernel, EntryStateExportClearRestoreRoundTrips)
 {
-    // Eviction support: an entry's level-1 state (history bank +
-    // last value) must survive export -> clearEntry -> reinstall
-    // bit-identically, and clearing must actually zero it.
+    // Snapshot support: every entry's level-1 state (history bank +
+    // last value), exported mid-trace and reinstalled into a fresh,
+    // power-on kernel, must carry on bit-identically — level-1
+    // updates never read the level-2 tables, which the fresh kernel
+    // does not have.
     const ValueTrace trace = adversarialTrace();
+    const std::span<const TraceRecord> all(trace);
+    const std::size_t half = trace.size() / 2;
     const MultiGeomConfig cfg{.l1_bits = 5,
                               .value_bits = 32,
                               .stride_bits = 32,
                               .hash_shift = 5,
                               .l2_bits = {6, 10}};
     MultiGeomDfcmKernel kernel(cfg);
-    kernel.runTrace(trace);
+    kernel.feedTrace(all.subspan(0, half));
 
+    MultiGeomDfcmKernel restored(cfg);
     for (std::size_t e = 0; e < kernel.l1Entries(); ++e) {
-        const std::vector<std::uint32_t> hists(
-                kernel.entryHists(e).begin(), kernel.entryHists(e).end());
-        const Value last = kernel.lastValue(e);
-
-        kernel.clearEntry(e);
-        EXPECT_TRUE(std::ranges::all_of(
-                kernel.entryHists(e),
-                [](std::uint32_t h) { return h == 0; }));
-        EXPECT_EQ(kernel.lastValue(e), 0u);
-
-        kernel.setEntryHists(e, hists);
-        kernel.setLastValue(e, last);
-        EXPECT_TRUE(std::ranges::equal(kernel.entryHists(e), hists));
-        EXPECT_EQ(kernel.lastValue(e), last);
+        restored.setEntryHists(e, kernel.entryHists(e));
+        restored.setLastValue(e, kernel.lastValue(e));
+        EXPECT_TRUE(std::ranges::equal(restored.entryHists(e),
+                                       kernel.entryHists(e)));
+        EXPECT_EQ(restored.lastValue(e), kernel.lastValue(e));
     }
+
+    kernel.feedTrace(all.subspan(half));
+    restored.feedTrace(all.subspan(half));
+    for (std::size_t e = 0; e < kernel.l1Entries(); ++e) {
+        ASSERT_TRUE(std::ranges::equal(restored.entryHists(e),
+                                       kernel.entryHists(e)))
+                << "entry " << e;
+        ASSERT_EQ(restored.lastValue(e), kernel.lastValue(e))
+                << "entry " << e;
+    }
+}
+
+/**
+ * The prediction service's numbering: adversarialTrace() with each
+ * PC re-keyed per 500-record epoch (so new streams keep arriving
+ * all through the trace), then renumbered to dense ids in
+ * first-arrival order.
+ */
+ValueTrace
+denseArrivalTrace()
+{
+    ValueTrace trace = adversarialTrace();
+    std::map<std::pair<Pc, std::size_t>, Pc> dense;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const auto key = std::pair(trace[i].pc, i / 500);
+        trace[i].pc = dense.try_emplace(key, dense.size()).first->second;
+    }
+    return trace;
+}
+
+TEST(MultiGeomKernel, DfcmGrowEntriesMatchesKernelBuiltAtFinalSize)
+{
+    // The service's permanent-entry store: a kernel that starts at
+    // four entries and grows, by doubling, whenever an id arrives
+    // that it cannot hold — between the ragged chunks of a feed, as
+    // a shard does — must end with the stats and every entry's
+    // state of a kernel built at the final size. Old entries keep
+    // their state across a growth and new ones start at zero.
+    const ValueTrace trace = denseArrivalTrace();
+    Pc max_pc = 0;
+    for (const TraceRecord& rec : trace)
+        max_pc = std::max(max_pc, rec.pc);
+    const MultiGeomConfig initial{.l1_bits = 2,
+                                  .value_bits = 32,
+                                  .stride_bits = 32,
+                                  .hash_shift = 5,
+                                  .l2_bits = {4, 8, 12}};
+    MultiGeomConfig final_cfg = initial;
+    while ((Pc{1} << final_cfg.l1_bits) <= max_pc)
+        ++final_cfg.l1_bits;
+    ASSERT_GE(final_cfg.l1_bits, 8u) << "trace too small to grow";
+
+    for (const SimdBackend backend : availableSimdBackends()) {
+        SCOPED_TRACE(std::string("backend ") + simdBackendName(backend));
+        MultiGeomDfcmKernel built(final_cfg);
+        const std::vector<PredictorStats> want =
+                built.runTrace(trace, backend);
+
+        MultiGeomDfcmKernel grown(initial);
+        std::vector<std::uint64_t> correct(initial.l2_bits.size(), 0);
+        unsigned growths = 0;
+        const std::size_t sizes[] = {1, 0, 7, 100, 3, 513, 64};
+        std::span<const TraceRecord> rest(trace);
+        for (std::size_t k = 0; !rest.empty(); ++k) {
+            const std::span<const TraceRecord> chunk = rest.subspan(
+                    0, std::min(sizes[k % std::size(sizes)], rest.size()));
+            rest = rest.subspan(chunk.size());
+            for (const TraceRecord& rec : chunk) {
+                if (rec.pc < grown.l1Entries())
+                    continue;
+                // Dense first-arrival ids: a new id is exactly the
+                // next entry, so each growth is one doubling.
+                ASSERT_EQ(rec.pc, grown.l1Entries());
+                grown.growEntries(rec.pc + 1);
+                ++growths;
+            }
+            const auto stats = grown.feedTrace(chunk, backend);
+            for (std::size_t c = 0; c < stats.size(); ++c)
+                correct[c] += stats[c].correct;
+        }
+        EXPECT_EQ(growths, final_cfg.l1_bits - initial.l1_bits);
+        ASSERT_EQ(grown.l1Entries(), built.l1Entries());
+        for (std::size_t c = 0; c < want.size(); ++c)
+            EXPECT_EQ(correct[c], want[c].correct) << "column " << c;
+        for (std::size_t e = 0; e < built.l1Entries(); ++e) {
+            ASSERT_TRUE(std::ranges::equal(grown.entryHists(e),
+                                           built.entryHists(e)))
+                    << "entry " << e;
+            ASSERT_EQ(grown.lastValue(e), built.lastValue(e))
+                    << "entry " << e;
+        }
+    }
+}
+
+TEST(MultiGeomKernel, DfcmGrowEntriesPastCapThrows)
+{
+    // Past 2^28 entries the table must refuse loudly, before it
+    // allocates or changes anything — never wrap the index.
+    MultiGeomDfcmKernel kernel({.l1_bits = 2,
+                                .value_bits = 32,
+                                .stride_bits = 32,
+                                .hash_shift = 5,
+                                .l2_bits = {4}});
+    EXPECT_THROW(kernel.growEntries(
+                         (std::size_t{1} << MultiGeomKernelBase::kMaxL1Bits)
+                         + 1),
+                 std::length_error);
+    EXPECT_EQ(kernel.l1Entries(), 4u);
+    kernel.growEntries(3);  // already fits: no-op
+    EXPECT_EQ(kernel.l1Entries(), 4u);
 }
 
 TEST(MultiGeomKernel, FcmChunkedFeedMatchesSingleRun)

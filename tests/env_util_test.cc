@@ -134,10 +134,10 @@ TEST(BatchSweepEnvDeathTest, GarbageIsFatalNotSilentlyOn)
 TEST(ServiceEnv, ValidValuesConfigureTheService)
 {
     ScopedEnv shards("REPRO_SERVICE_SHARDS", "8");
-    ScopedEnv batch("REPRO_SERVICE_BATCH", "4096");
+    ScopedEnv ring("REPRO_SERVICE_RING_CAP", "1024");
     const service::ServiceConfig cfg = service::ServiceConfig::fromEnv();
     EXPECT_EQ(cfg.shards, 8u);
-    EXPECT_EQ(cfg.batch_records, 4096u);
+    EXPECT_EQ(cfg.ring_capacity, 1024u);
 }
 
 TEST(ServiceEnvDeathTest, MalformedShardsIsFatal)
@@ -149,11 +149,12 @@ TEST(ServiceEnvDeathTest, MalformedShardsIsFatal)
                 ::testing::ExitedWithCode(2), "REPRO_SERVICE_SHARDS");
 }
 
-TEST(ServiceEnvDeathTest, OutOfRangeBatchIsFatal)
+TEST(ServiceEnvDeathTest, OutOfRangeProducerCapIsFatal)
 {
-    ScopedEnv e("REPRO_SERVICE_BATCH", "0");
+    ScopedEnv e("REPRO_SERVICE_RING_PRODUCERS", "0");
     EXPECT_EXIT(service::ServiceConfig::fromEnv(),
-                ::testing::ExitedWithCode(2), "REPRO_SERVICE_BATCH");
+                ::testing::ExitedWithCode(2),
+                "REPRO_SERVICE_RING_PRODUCERS");
 }
 
 } // namespace

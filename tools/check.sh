@@ -14,8 +14,8 @@
 #            (REPRO_SERVICE_SMOKE=1 REPRO_SERVICE_SCALING=1: ~10k
 #            streams through bench_service_load in a scratch cwd,
 #            plus the 2-point reduced scaling sweep on the dispatched
-#            SIMD backend) — exercises the sharded ingest/evict/spill
-#            path, the arrival-order kernel feed and the
+#            SIMD backend) — exercises the sharded ingest path,
+#            level-1 table growth, the arrival-order kernel feed and the
 #            thread-scaling harness end to end and checks that
 #            BENCH_service.json carries the "scaling" table
 #   perf     reduced-scale bench_throughput run plus a full-scale

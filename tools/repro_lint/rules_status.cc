@@ -6,8 +6,8 @@
  *
  * The service's overload story is "a full ring rejects the push and
  * the caller accounts for it" — tryPush/tryIngest/tryEnqueue return
- * the accept/reject bool, and SlotMap's insert/erase report whether
- * the mutation happened. A dropped status silently turns
+ * the accept/reject bool, and SlotMap's insert reports whether the
+ * mutation happened. A dropped status silently turns
  * backpressure into data loss: the update vanishes, the drop counter
  * never moves, and the figures produced under load stop meaning what
  * the paper says they mean. Two rules close the loop:

@@ -13,7 +13,7 @@
  *   - variable/member declarations whose type is std::atomic or a
  *     class that declares indexed methods — the receiver-resolution
  *     table that keeps "x.load()" findings to actual atomics and
- *     "m.erase(k)" findings to actual SlotMaps;
+ *     "m.insert(k, s)" findings to actual SlotMaps;
  *   - the quoted-include graph with transitive reachability, so a
  *     call site is only matched against declarations its TU can
  *     actually see;
