@@ -15,6 +15,7 @@
 #include "bench_util.hh"
 
 #include "core/confidence_dfcm.hh"
+#include "harness/parallel_sweep.hh"
 #include "harness/table_printer.hh"
 #include "harness/trace_cache.hh"
 #include "workloads/workload.hh"
@@ -28,41 +29,58 @@ main()
                          "hash-alias tags as a DFCM confidence gate");
 
     harness::TraceCache cache;
-    TablePrinter table({"gate", "tag_bits", "coverage",
-                        "accuracy_of_attempted", "effective_accuracy",
-                        "size_kbit"});
+    harness::ParallelSweep sweep(cache);
+    const std::vector<std::string>& names = workloads::benchmarkNames();
 
-    auto runGate = [&](ConfidenceMode mode, unsigned tag_bits) {
+    struct Gate
+    {
+        ConfidenceMode mode;
+        unsigned tag_bits;
+    };
+    std::vector<Gate> gates = {{ConfidenceMode::None, 0}};
+    for (unsigned bits : {1u, 2u, 4u, 6u, 8u})
+        gates.push_back({ConfidenceMode::Tag, bits});
+    gates.push_back({ConfidenceMode::Counter, 0});
+    gates.push_back({ConfidenceMode::TagAndCounter, 4});
+
+    auto configOf = [](const Gate& g) {
         ConfidenceDfcmConfig cfg;
         cfg.l1_bits = 16;
         cfg.l2_bits = 12;
-        cfg.tag_bits = tag_bits;
-        cfg.mode = mode;
+        cfg.tag_bits = g.tag_bits;
+        cfg.mode = g.mode;
+        return cfg;
+    };
+
+    // One cell per (gate, workload).
+    const std::vector<GatedStats> cells =
+            sweep.map(gates.size() * names.size(), [&](std::size_t i) {
+                ConfidenceDfcm p(configOf(gates[i / names.size()]));
+                return p.run(cache.getSpan(names[i % names.size()]));
+            });
+
+    TablePrinter table({"gate", "tag_bits", "coverage",
+                        "accuracy_of_attempted", "effective_accuracy",
+                        "size_kbit"});
+    for (std::size_t g = 0; g < gates.size(); ++g) {
         GatedStats total;
-        std::uint64_t size_bits = 0;
-        for (const std::string& name : workloads::benchmarkNames()) {
-            ConfidenceDfcm p(cfg);
-            const GatedStats s = p.run(cache.getSpan(name));
+        for (std::size_t w = 0; w < names.size(); ++w) {
+            const GatedStats& s = cells[g * names.size() + w];
             total.total += s.total;
             total.attempted += s.attempted;
             total.correct += s.correct;
-            size_bits = p.storageBits();
         }
-        table.addRow({confidenceModeName(mode),
-                      TablePrinter::fmt(std::uint64_t{tag_bits}),
+        const std::uint64_t size_bits =
+                ConfidenceDfcm(configOf(gates[g])).storageBits();
+        table.addRow({confidenceModeName(gates[g].mode),
+                      TablePrinter::fmt(std::uint64_t{gates[g].tag_bits}),
                       TablePrinter::fmt(total.coverage()),
                       TablePrinter::fmt(total.accuracy()),
                       TablePrinter::fmt(total.effectiveAccuracy()),
                       TablePrinter::fmt(
                               static_cast<double>(size_bits) / 1024.0,
                               1)});
-    };
-
-    runGate(ConfidenceMode::None, 0);
-    for (unsigned bits : {1u, 2u, 4u, 6u, 8u})
-        runGate(ConfidenceMode::Tag, bits);
-    runGate(ConfidenceMode::Counter, 0);
-    runGate(ConfidenceMode::TagAndCounter, 4);
+    }
 
     table.print(std::cout);
     table.writeCsv("ablation_confidence");

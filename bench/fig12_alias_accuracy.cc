@@ -10,6 +10,7 @@
 #include "bench_util.hh"
 
 #include "core/alias_analysis.hh"
+#include "harness/parallel_sweep.hh"
 #include "harness/table_printer.hh"
 #include "harness/trace_cache.hh"
 #include "workloads/workload.hh"
@@ -22,15 +23,21 @@ main()
     bench::Banner banner("fig12", "accuracy per aliasing type (FCM)");
 
     harness::TraceCache cache;
+    harness::ParallelSweep sweep(cache);
+    const std::vector<std::string>& names = workloads::benchmarkNames();
     FcmConfig cfg;
     cfg.l1_bits = 12;
     cfg.l2_bits = 12;
 
+    // One cell per workload.
+    const std::vector<AliasBreakdown> cells =
+            sweep.map(names.size(), [&](std::size_t w) {
+                AliasAnalyzer analyzer(cfg, /*differential=*/false);
+                return analyzer.run(cache.getSpan(names[w]));
+            });
     AliasBreakdown total;
-    for (const std::string& name : workloads::benchmarkNames()) {
-        AliasAnalyzer analyzer(cfg, /*differential=*/false);
-        total += analyzer.run(cache.getSpan(name));
-    }
+    for (const AliasBreakdown& b : cells)
+        total += b;
 
     TablePrinter table({"aliasing_type", "fraction", "accuracy",
                         "predictions"});

@@ -12,6 +12,7 @@
 #include "bench_util.hh"
 
 #include "core/alias_analysis.hh"
+#include "harness/parallel_sweep.hh"
 #include "harness/table_printer.hh"
 #include "harness/trace_cache.hh"
 #include "workloads/workload.hh"
@@ -25,9 +26,19 @@ main()
                          "aliasing-type fractions of mispredictions");
 
     harness::TraceCache cache;
+    harness::ParallelSweep sweep(cache);
+    const std::vector<std::string>& names = workloads::benchmarkNames();
     FcmConfig cfg;
     cfg.l1_bits = 12;
     cfg.l2_bits = 12;
+
+    // One cell per (fcm/dfcm, workload).
+    const std::vector<AliasBreakdown> cells =
+            sweep.map(2 * names.size(), [&](std::size_t i) {
+                AliasAnalyzer analyzer(cfg, i >= names.size());
+                return analyzer.run(
+                        cache.getSpan(names[i % names.size()]));
+            });
 
     TablePrinter table({"predictor", "benchmark", "l1", "hash",
                         "l2_priv", "l2_pc", "none", "total_wrong"});
@@ -37,9 +48,10 @@ main()
     for (const bool differential : {false, true}) {
         const char* pname = differential ? "dfcm" : "fcm";
         AliasBreakdown avg;
-        for (const std::string& name : workloads::benchmarkNames()) {
-            AliasAnalyzer analyzer(cfg, differential);
-            const AliasBreakdown b = analyzer.run(cache.getSpan(name));
+        for (std::size_t w = 0; w < names.size(); ++w) {
+            const std::string& name = names[w];
+            const AliasBreakdown& b =
+                    cells[(differential ? names.size() : 0) + w];
             avg += b;
             double total_wrong = 0;
             for (unsigned t = 0; t < kAliasTypeCount; ++t)

@@ -13,6 +13,7 @@
 #include "bench_util.hh"
 
 #include "harness/experiment.hh"
+#include "harness/parallel_sweep.hh"
 #include "harness/sweep.hh"
 #include "harness/table_printer.hh"
 
@@ -24,27 +25,34 @@ main()
     bench::Banner banner("fig16", "hybrid predictors vs DFCM");
 
     harness::TraceCache cache;
+    harness::ParallelSweep sweep(cache);
+    const PredictorKind kinds[] = {
+        PredictorKind::Fcm, PredictorKind::Dfcm,
+        PredictorKind::PerfectStrideFcm, PredictorKind::PerfectStrideDfcm,
+        PredictorKind::HybridStrideFcm,
+    };
+    std::vector<PredictorConfig> configs;
+    for (unsigned l2 : harness::paperL2Bits()) {
+        for (PredictorKind kind : kinds) {
+            PredictorConfig cfg;
+            cfg.kind = kind;
+            cfg.l1_bits = 16;
+            cfg.l2_bits = l2;
+            configs.push_back(cfg);
+        }
+    }
+    const std::vector<harness::SuiteResult> results =
+            sweep.runGrid(configs);
+    bench::reportExecution(sweep.lastExecution());
+
     TablePrinter table({"l2_bits", "fcm", "dfcm", "stride+fcm",
                         "stride+dfcm", "real_stride+fcm"});
-
-    for (unsigned l2 : harness::paperL2Bits()) {
-        PredictorConfig cfg;
-        cfg.l1_bits = 16;
-        cfg.l2_bits = l2;
-
-        auto acc = [&](PredictorKind kind) {
-            cfg.kind = kind;
-            return runBenchmarks(cache, cfg).accuracy();
-        };
-        table.addRow({TablePrinter::fmt(std::uint64_t{l2}),
-                      TablePrinter::fmt(acc(PredictorKind::Fcm)),
-                      TablePrinter::fmt(acc(PredictorKind::Dfcm)),
-                      TablePrinter::fmt(
-                              acc(PredictorKind::PerfectStrideFcm)),
-                      TablePrinter::fmt(
-                              acc(PredictorKind::PerfectStrideDfcm)),
-                      TablePrinter::fmt(
-                              acc(PredictorKind::HybridStrideFcm))});
+    for (std::size_t i = 0; i < configs.size(); i += std::size(kinds)) {
+        std::vector<std::string> row = {
+                TablePrinter::fmt(std::uint64_t{configs[i].l2_bits})};
+        for (std::size_t k = 0; k < std::size(kinds); ++k)
+            row.push_back(TablePrinter::fmt(results[i + k].accuracy()));
+        table.addRow(row);
     }
 
     table.print(std::cout);

@@ -13,8 +13,11 @@
 
 #include "bench_util.hh"
 
+#include <array>
+
 #include "core/dfcm_predictor.hh"
 #include "core/stride_predictor.hh"
+#include "harness/parallel_sweep.hh"
 #include "harness/table_printer.hh"
 #include "sim/assembler.hh"
 #include "sim/dataflow.hh"
@@ -32,35 +35,40 @@ main()
     // scale; dependence structure is scale-invariant.
     const double scale = 0.25 * harness::envTraceScale();
 
+    harness::TraceCache cache;  // unused: the cells re-execute the VM
+    harness::ParallelSweep sweep(cache);
+    const std::vector<std::string>& names = workloads::benchmarkNames();
+
+    // One cell per workload: no prediction, stride, DFCM, perfect.
+    const std::vector<std::array<sim::IlpResult, 4>> cells =
+            sweep.map(names.size(), [&](std::size_t i) {
+                const auto& w = workloads::findWorkload(names[i]);
+                const sim::Program program = sim::assemble(w.assembly);
+                const auto reps = static_cast<std::uint32_t>(
+                        std::max(1.0, w.default_scale * scale));
+                const std::pair<unsigned, std::uint32_t> init[] = {
+                    {sim::reg::a0, reps},
+                };
+
+                auto run = [&](sim::PredictionModel model,
+                               ValuePredictor* predictor) {
+                    return sim::dataflowLimit(program, model, predictor,
+                                              w.max_steps, init);
+                };
+                StridePredictor stride(16);
+                DfcmPredictor dfcm({.l1_bits = 16, .l2_bits = 12});
+                return std::array<sim::IlpResult, 4>{
+                        run(sim::PredictionModel::None, nullptr),
+                        run(sim::PredictionModel::Real, &stride),
+                        run(sim::PredictionModel::Real, &dfcm),
+                        run(sim::PredictionModel::Perfect, nullptr)};
+            });
+
     TablePrinter table({"benchmark", "ilp_none", "ilp_stride",
                         "ilp_dfcm", "ilp_perfect", "dfcm_acc"});
-
-    for (const std::string& name : workloads::benchmarkNames()) {
-        const auto& w = workloads::findWorkload(name);
-        const sim::Program program = sim::assemble(w.assembly);
-        const auto reps = static_cast<std::uint32_t>(
-                std::max(1.0, w.default_scale * scale));
-        const std::pair<unsigned, std::uint32_t> init[] = {
-            {sim::reg::a0, reps},
-        };
-
-        auto run = [&](sim::PredictionModel model,
-                       ValuePredictor* predictor) {
-            return sim::dataflowLimit(program, model, predictor,
-                                      w.max_steps, init);
-        };
-        const sim::IlpResult none =
-                run(sim::PredictionModel::None, nullptr);
-        StridePredictor stride(16);
-        const sim::IlpResult with_stride =
-                run(sim::PredictionModel::Real, &stride);
-        DfcmPredictor dfcm({.l1_bits = 16, .l2_bits = 12});
-        const sim::IlpResult with_dfcm =
-                run(sim::PredictionModel::Real, &dfcm);
-        const sim::IlpResult perfect =
-                run(sim::PredictionModel::Perfect, nullptr);
-
-        table.addRow({name, TablePrinter::fmt(none.ilp(), 2),
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const auto& [none, with_stride, with_dfcm, perfect] = cells[i];
+        table.addRow({names[i], TablePrinter::fmt(none.ilp(), 2),
                       TablePrinter::fmt(with_stride.ilp(), 2),
                       TablePrinter::fmt(with_dfcm.ilp(), 2),
                       TablePrinter::fmt(perfect.ilp(), 2),

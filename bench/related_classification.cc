@@ -17,6 +17,7 @@
 #include "core/classifying_predictor.hh"
 #include "core/dfcm_predictor.hh"
 #include "core/stats.hh"
+#include "harness/parallel_sweep.hh"
 #include "harness/table_printer.hh"
 #include "harness/trace_cache.hh"
 #include "workloads/workload.hh"
@@ -30,36 +31,52 @@ main()
                          "dynamic classification vs DFCM (Section 5)");
 
     harness::TraceCache cache;
+    harness::ParallelSweep sweep(cache);
+    const std::vector<std::string>& names = workloads::benchmarkNames();
 
-    ClassifyingConfig ccfg;  // defaults: 14/14/14/12 tables
+    // One cell per workload: the classifier, its class census, and
+    // a storage-matched DFCM (2^14 level-1 / 2^12 level-2 is
+    // slightly *smaller* than the classifier's four tables).
+    struct Cell
+    {
+        PredictorStats classify, dfcm;
+        std::vector<std::uint64_t> census;
+    };
+    const std::vector<Cell> cells =
+            sweep.map(names.size(), [&](std::size_t i) {
+                const std::span<const TraceRecord> trace =
+                        cache.getSpan(names[i]);
+                ClassifyingConfig ccfg;  // defaults: 14/14/14/12 tables
+                ClassifyingPredictor classifier(ccfg);
+                DfcmPredictor dfcm({.l1_bits = 14, .l2_bits = 12});
+                Cell c;
+                c.classify = runTrace(classifier, trace);
+                c.dfcm = runTrace(dfcm, trace);
+                c.census = classifier.classCensus();
+                return c;
+            });
+
     TablePrinter table({"benchmark", "classify_acc", "dfcm_acc",
                         "unpredictable_frac", "stride_frac",
                         "context_frac"});
-
     PredictorStats ctotal, dtotal;
-    for (const std::string& name : workloads::benchmarkNames()) {
-        ClassifyingPredictor classifier(ccfg);
-        const PredictorStats cs =
-                runTrace(classifier, cache.getSpan(name));
-        // Storage-matched DFCM (2^14 level-1 / 2^12 level-2 is
-        // slightly *smaller* than the classifier's four tables).
-        DfcmPredictor dfcm({.l1_bits = 14, .l2_bits = 12});
-        const PredictorStats ds = runTrace(dfcm, cache.getSpan(name));
-        ctotal += cs;
-        dtotal += ds;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const Cell& cell = cells[i];
+        ctotal += cell.classify;
+        dtotal += cell.dfcm;
 
-        const auto census = classifier.classCensus();
         double assigned = 0;
-        for (unsigned c = 1; c < census.size(); ++c)
-            assigned += static_cast<double>(census[c]);
+        for (unsigned c = 1; c < cell.census.size(); ++c)
+            assigned += static_cast<double>(cell.census[c]);
         auto frac = [&](ValueClass cls) {
             return assigned == 0
                 ? 0.0
-                : static_cast<double>(census[static_cast<unsigned>(cls)])
+                : static_cast<double>(
+                          cell.census[static_cast<unsigned>(cls)])
                         / assigned;
         };
-        table.addRow({name, TablePrinter::fmt(cs.accuracy()),
-                      TablePrinter::fmt(ds.accuracy()),
+        table.addRow({names[i], TablePrinter::fmt(cell.classify.accuracy()),
+                      TablePrinter::fmt(cell.dfcm.accuracy()),
                       TablePrinter::fmt(
                               frac(ValueClass::Unpredictable), 3),
                       TablePrinter::fmt(frac(ValueClass::Stride), 3),

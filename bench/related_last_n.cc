@@ -11,11 +11,15 @@
 
 #include "bench_util.hh"
 
+#include <functional>
+#include <memory>
+
 #include "core/dfcm_predictor.hh"
 #include "core/last_n_predictor.hh"
 #include "core/last_value_predictor.hh"
 #include "core/stats.hh"
 #include "core/stride_predictor.hh"
+#include "harness/parallel_sweep.hh"
 #include "harness/table_printer.hh"
 #include "harness/trace_cache.hh"
 #include "workloads/workload.hh"
@@ -29,41 +33,37 @@ main()
                          "last-n value prediction vs paper predictors");
 
     harness::TraceCache cache;
-    TablePrinter table({"predictor", "size_kbit", "accuracy"});
-
-    auto runAll = [&](ValuePredictor& p) {
-        PredictorStats total;
-        for (const std::string& name : workloads::benchmarkNames())
-            total += runTrace(p, cache.getSpan(name));
-        return total;
-        // (predictor state deliberately carries across benchmarks in
-        //  series, like one long trace; tables are large enough that
-        //  cross-benchmark pollution is negligible.)
+    harness::ParallelSweep sweep(cache);
+    const std::vector<std::function<std::unique_ptr<ValuePredictor>()>>
+            makers = {
+        [] { return std::make_unique<LastValuePredictor>(16); },
+        [] { return std::make_unique<LastNPredictor>(16, 2); },
+        [] { return std::make_unique<LastNPredictor>(16, 4); },
+        [] { return std::make_unique<LastNPredictor>(16, 8); },
+        [] { return std::make_unique<StridePredictor>(16); },
+        [] {
+            return std::make_unique<DfcmPredictor>(
+                    DfcmConfig{.l1_bits = 16, .l2_bits = 12});
+        },
     };
 
-    {
-        LastValuePredictor p(16);
-        const PredictorStats s = runAll(p);
-        table.addRow({p.name(), TablePrinter::fmt(p.storageKbit(), 1),
-                      TablePrinter::fmt(s.accuracy())});
-    }
-    for (unsigned n : {2u, 4u, 8u}) {
-        LastNPredictor p(16, n);
-        const PredictorStats s = runAll(p);
-        table.addRow({p.name(), TablePrinter::fmt(p.storageKbit(), 1),
-                      TablePrinter::fmt(s.accuracy())});
-    }
-    {
-        StridePredictor p(16);
-        const PredictorStats s = runAll(p);
-        table.addRow({p.name(), TablePrinter::fmt(p.storageKbit(), 1),
-                      TablePrinter::fmt(s.accuracy())});
-    }
-    {
-        DfcmPredictor p({.l1_bits = 16, .l2_bits = 12});
-        const PredictorStats s = runAll(p);
-        table.addRow({p.name(), TablePrinter::fmt(p.storageKbit(), 1),
-                      TablePrinter::fmt(s.accuracy())});
+    // One cell per predictor. Its state deliberately carries across
+    // the benchmarks in series, like one long trace; the tables are
+    // large enough that cross-benchmark pollution is negligible.
+    const std::vector<PredictorStats> cells =
+            sweep.map(makers.size(), [&](std::size_t i) {
+                const std::unique_ptr<ValuePredictor> p = makers[i]();
+                PredictorStats total;
+                for (const std::string& name : workloads::benchmarkNames())
+                    total += runTrace(*p, cache.getSpan(name));
+                return total;
+            });
+
+    TablePrinter table({"predictor", "size_kbit", "accuracy"});
+    for (std::size_t i = 0; i < makers.size(); ++i) {
+        const std::unique_ptr<ValuePredictor> p = makers[i]();
+        table.addRow({p->name(), TablePrinter::fmt(p->storageKbit(), 1),
+                      TablePrinter::fmt(cells[i].accuracy())});
     }
 
     table.print(std::cout);

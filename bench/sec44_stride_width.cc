@@ -13,6 +13,7 @@
 #include "bench_util.hh"
 
 #include "harness/experiment.hh"
+#include "harness/parallel_sweep.hh"
 #include "harness/table_printer.hh"
 
 int
@@ -23,30 +24,38 @@ main()
     bench::Banner banner("sec44", "DFCM stored-stride width");
 
     harness::TraceCache cache;
-    TablePrinter table({"l1_bits", "l2_bits", "stride_bits",
-                        "size_kbit", "accuracy", "drop_vs_32"});
-
+    harness::ParallelSweep sweep(cache);
+    std::vector<PredictorConfig> configs;
     for (unsigned l1 : {12u, 16u}) {
         for (unsigned l2 : {10u, 12u, 16u}) {
-            double full = 0.0;
             for (unsigned sb : {32u, 16u, 8u}) {
                 PredictorConfig cfg;
                 cfg.kind = PredictorKind::Dfcm;
                 cfg.l1_bits = l1;
                 cfg.l2_bits = l2;
                 cfg.stride_bits = sb;
-                const harness::SuiteResult r = runBenchmarks(cache, cfg);
-                if (sb == 32)
-                    full = r.accuracy();
-                table.addRow({TablePrinter::fmt(std::uint64_t{l1}),
-                              TablePrinter::fmt(std::uint64_t{l2}),
-                              TablePrinter::fmt(std::uint64_t{sb}),
-                              TablePrinter::fmt(r.storageKbit(), 1),
-                              TablePrinter::fmt(r.accuracy()),
-                              TablePrinter::fmt(full - r.accuracy(),
-                                                3)});
+                configs.push_back(cfg);
             }
         }
+    }
+    const std::vector<harness::SuiteResult> results =
+            sweep.runGrid(configs);
+    bench::reportExecution(sweep.lastExecution());
+
+    TablePrinter table({"l1_bits", "l2_bits", "stride_bits",
+                        "size_kbit", "accuracy", "drop_vs_32"});
+    double full = 0.0;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const PredictorConfig& cfg = configs[i];
+        const harness::SuiteResult& r = results[i];
+        if (cfg.stride_bits == 32)
+            full = r.accuracy();
+        table.addRow({TablePrinter::fmt(std::uint64_t{cfg.l1_bits}),
+                      TablePrinter::fmt(std::uint64_t{cfg.l2_bits}),
+                      TablePrinter::fmt(std::uint64_t{cfg.stride_bits}),
+                      TablePrinter::fmt(r.storageKbit(), 1),
+                      TablePrinter::fmt(r.accuracy()),
+                      TablePrinter::fmt(full - r.accuracy(), 3)});
     }
 
     table.print(std::cout);

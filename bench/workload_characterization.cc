@@ -16,6 +16,7 @@
 #include "core/fcm_predictor.hh"
 #include "core/last_value_predictor.hh"
 #include "core/stride_predictor.hh"
+#include "harness/parallel_sweep.hh"
 #include "harness/table_printer.hh"
 #include "harness/trace_cache.hh"
 #include "workloads/workload.hh"
@@ -29,18 +30,22 @@ main()
                          "value-pattern mix per workload");
 
     harness::TraceCache cache;
-    TablePrinter table({"workload", "constant", "stride_only",
-                        "context_only", "both", "hard", "static_pcs"});
+    harness::ParallelSweep sweep(cache);
+    const std::vector<workloads::Workload>& all = workloads::allWorkloads();
 
-    for (const workloads::Workload& w : workloads::allWorkloads()) {
-        const std::span<const TraceRecord> trace = cache.getSpan(w.name);
-
+    // One cell per workload: how many records fall in each class.
+    struct Mix
+    {
+        std::uint64_t constant = 0, stride_only = 0, context_only = 0,
+                      both = 0, hard = 0, records = 0, static_pcs = 0;
+    };
+    const std::vector<Mix> cells = sweep.map(all.size(), [&](std::size_t i) {
+        const std::span<const TraceRecord> trace = cache.getSpan(all[i].name);
         LastValuePredictor lvp(16);
         StridePredictor stride(16);
         FcmPredictor fcm({.l1_bits = 16, .l2_bits = 18,
                           .value_bits = 32, .hash = {}});
-        std::uint64_t constant = 0, stride_only = 0, context_only = 0,
-                      both = 0, hard = 0;
+        Mix m;
         std::set<Pc> pcs;
         for (const TraceRecord& rec : trace) {
             pcs.insert(rec.pc);
@@ -48,31 +53,39 @@ main()
             const bool s = stride.predict(rec.pc) == rec.value;
             const bool x = fcm.predict(rec.pc) == rec.value;
             if (c)
-                ++constant;
+                ++m.constant;
             else if (s && x)
-                ++both;
+                ++m.both;
             else if (s)
-                ++stride_only;
+                ++m.stride_only;
             else if (x)
-                ++context_only;
+                ++m.context_only;
             else
-                ++hard;
+                ++m.hard;
             lvp.update(rec.pc, rec.value);
             stride.update(rec.pc, rec.value);
             fcm.update(rec.pc, rec.value);
         }
-        const double n = static_cast<double>(trace.size());
-        table.addRow({w.name,
-                      TablePrinter::fmt(static_cast<double>(constant) / n,
+        m.records = trace.size();
+        m.static_pcs = pcs.size();
+        return m;
+    });
+
+    TablePrinter table({"workload", "constant", "stride_only",
+                        "context_only", "both", "hard", "static_pcs"});
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        const Mix& m = cells[i];
+        const double n = static_cast<double>(m.records);
+        table.addRow({all[i].name,
+                      TablePrinter::fmt(static_cast<double>(m.constant) / n,
                                         3),
                       TablePrinter::fmt(
-                              static_cast<double>(stride_only) / n, 3),
+                              static_cast<double>(m.stride_only) / n, 3),
                       TablePrinter::fmt(
-                              static_cast<double>(context_only) / n, 3),
-                      TablePrinter::fmt(static_cast<double>(both) / n, 3),
-                      TablePrinter::fmt(static_cast<double>(hard) / n, 3),
-                      TablePrinter::fmt(
-                              static_cast<std::uint64_t>(pcs.size()))});
+                              static_cast<double>(m.context_only) / n, 3),
+                      TablePrinter::fmt(static_cast<double>(m.both) / n, 3),
+                      TablePrinter::fmt(static_cast<double>(m.hard) / n, 3),
+                      TablePrinter::fmt(m.static_pcs)});
     }
 
     table.print(std::cout);

@@ -1,5 +1,6 @@
 #include "core/alias_analysis.hh"
 
+#include <algorithm>
 #include <cassert>
 
 namespace vpred
@@ -61,32 +62,18 @@ AliasAnalyzer::AliasAnalyzer(const FcmConfig& config, bool differential)
       hash_(config.resolvedHash()), order_(hash_.order()),
       l1_mask_(maskBits(config.l1_bits)),
       value_mask_(maskBits(config.value_bits)),
-      l1_(std::size_t{1} << config.l1_bits),
-      l2_(std::size_t{1} << config.l2_bits, 0),
-      l2_shadow_(std::size_t{1} << config.l2_bits)
+      l1_hash_(std::size_t{1} << config.l1_bits),
+      l1_history_((std::size_t{1} << config.l1_bits) * order_),
+      l1_writers_((std::size_t{1} << config.l1_bits) * order_),
+      l1_last_(std::size_t{1} << config.l1_bits),
+      l2_(std::size_t{1} << config.l2_bits),
+      l2_history_((std::size_t{1} << config.l2_bits) * order_),
+      l2_writer_(std::size_t{1} << config.l2_bits),
+      private_l2_(1)
 {
     assert(config.l1_bits <= 24 && config.l2_bits <= 24);
-    for (L1Shadow& s : l1_) {
-        s.history.assign(order_, 0);
-        s.writers.assign(order_, kNoPc);
-    }
-    for (L2Shadow& s : l2_shadow_) {
-        s.history.assign(order_, 0);
-        s.writer = kNoPc;
-    }
-}
-
-std::uint64_t
-AliasAnalyzer::hashOf(const std::vector<Value>& history) const
-{
-    // The incremental FS R-k hash is an exact function of the last
-    // `order` values (older contributions are fully shifted out), so
-    // re-hashing the shadow history reproduces the functional
-    // predictor's level-1 hash register.
-    std::uint64_t h = 0;
-    for (Value v : history)
-        h = hash_.insert(h, v);
-    return h;
+    std::fill(l1_writers_.begin(), l1_writers_.end(), kNoPc);
+    std::fill(l2_writer_.begin(), l2_writer_.end(), kNoPc);
 }
 
 std::uint64_t
@@ -96,49 +83,57 @@ AliasAnalyzer::privKey(std::size_t l1_idx, std::uint64_t l2_idx) const
 }
 
 AliasType
-AliasAnalyzer::classify(Pc pc) const
+AliasAnalyzer::classifyAt(Pc pc, std::size_t l1_idx,
+                          std::uint64_t l2_idx, Value priv) const
 {
-    const std::size_t l1_idx = pc & l1_mask_;
-    const L1Shadow& s1 = l1_[l1_idx];
-    const std::uint64_t l2_idx = hashOf(s1.history);
-
     // 1. Level-1 conflict: some history element was produced by a
     //    different static instruction (or never produced at all).
-    for (Pc w : s1.writers) {
-        if (w != pc)
+    const Pc* writers = &l1_writers_[l1_idx * order_];
+    for (unsigned i = 0; i < order_; ++i) {
+        if (writers[i] != pc)
             return AliasType::L1;
     }
 
     // 2. Hash conflict: the history recorded at the last update of
     //    this level-2 entry differs from the current one.
-    const L2Shadow& s2 = l2_shadow_[l2_idx];
-    if (s2.history != s1.history)
-        return AliasType::Hash;
+    const Value* history = &l1_history_[l1_idx * order_];
+    const Value* recorded = &l2_history_[l2_idx * order_];
+    for (unsigned i = 0; i < order_; ++i) {
+        if (history[i] != recorded[i])
+            return AliasType::Hash;
+    }
 
     // 3. Private-table divergence: would a per-level-1-entry level-2
     //    table predict differently? Private tables start out zeroed
     //    like the global one.
-    const auto it = private_l2_.find(privKey(l1_idx, l2_idx));
-    const Value priv = it == private_l2_.end() ? 0 : it->second;
     if (priv != l2_[l2_idx])
         return AliasType::L2Priv;
 
     // 4. Same history and content but last written by another
     //    instruction: neutral/constructive sharing.
-    if (s2.writer != pc)
+    if (l2_writer_[l2_idx] != pc)
         return AliasType::L2Pc;
 
     return AliasType::None;
 }
 
+AliasType
+AliasAnalyzer::classify(Pc pc) const
+{
+    const std::size_t l1_idx = pc & l1_mask_;
+    const std::uint64_t l2_idx = l1_hash_[l1_idx];
+    const std::uint64_t key = privKey(l1_idx, l2_idx);
+    return classifyAt(pc, l1_idx, l2_idx, private_l2_.find(&key));
+}
+
 Value
 AliasAnalyzer::predictValue(Pc pc) const
 {
-    const L1Shadow& s1 = l1_[pc & l1_mask_];
-    const std::uint64_t l2_idx = hashOf(s1.history);
+    const std::size_t l1_idx = pc & l1_mask_;
+    const Value stored = l2_[l1_hash_[l1_idx]];
     if (differential_)
-        return (s1.last + l2_[l2_idx]) & value_mask_;
-    return l2_[l2_idx];
+        return (l1_last_[l1_idx] + stored) & value_mask_;
+    return stored;
 }
 
 void
@@ -146,29 +141,44 @@ AliasAnalyzer::step(Pc pc, Value actual)
 {
     actual &= value_mask_;
 
-    const AliasType type = classify(pc);
-    const bool correct = predictValue(pc) == actual;
-    breakdown_.per_type[static_cast<unsigned>(type)].record(correct);
+    // The level-1 entry holds the functional hashed history, so the
+    // level-2 index costs no re-hash; the FS R-k hash is an exact
+    // function of the last `order` values, the same ones the shadow
+    // history holds.
+    const std::size_t l1_idx = pc & l1_mask_;
+    const std::uint64_t l2_idx = l1_hash_[l1_idx];
+    const std::uint64_t key = privKey(l1_idx, l2_idx);
+    Value& priv = private_l2_.findOrInsert(&key);
+
+    const Value last = l1_last_[l1_idx];
+    const Value predicted = differential_
+        ? ((last + l2_[l2_idx]) & value_mask_) : l2_[l2_idx];
+    const AliasType type = classifyAt(pc, l1_idx, l2_idx, priv);
+    breakdown_.per_type[static_cast<unsigned>(type)].record(
+            predicted == actual);
 
     // --- update, mirroring Fcm/DfcmPredictor::update ---
-    const std::size_t l1_idx = pc & l1_mask_;
-    L1Shadow& s1 = l1_[l1_idx];
-    const std::uint64_t l2_idx = hashOf(s1.history);
-
     const Value stored = differential_
-        ? ((actual - s1.last) & value_mask_) : actual;
-
+        ? ((actual - last) & value_mask_) : actual;
     l2_[l2_idx] = stored;
-    l2_shadow_[l2_idx].history = s1.history;
-    l2_shadow_[l2_idx].writer = pc;
-    private_l2_[privKey(l1_idx, l2_idx)] = stored;
+    l2_writer_[l2_idx] = pc;
+    priv = stored;
 
-    // Advance the (difference) history and writer shadow.
-    s1.history.erase(s1.history.begin());
-    s1.history.push_back(stored);
-    s1.writers.erase(s1.writers.begin());
-    s1.writers.push_back(pc);
-    s1.last = actual;
+    // Record the history at this update, then advance the
+    // (difference) history and the writer shadow by one element. One
+    // hand-written loop: the library copies cost more than the few
+    // elements they move.
+    Value* history = &l1_history_[l1_idx * order_];
+    Pc* writers = &l1_writers_[l1_idx * order_];
+    Value* recorded = &l2_history_[l2_idx * order_];
+    for (unsigned i = 0; i < order_; ++i) {
+        recorded[i] = history[i];
+        const bool newest = i + 1 == order_;
+        history[i] = newest ? stored : history[i + 1];
+        writers[i] = newest ? pc : writers[i + 1];
+    }
+    l1_last_[l1_idx] = actual;
+    l1_hash_[l1_idx] = hash_.insert(l2_idx, stored);
 }
 
 AliasBreakdown

@@ -26,12 +26,11 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
+#include "core/exact_key_table.hh"
 #include "core/fcm_predictor.hh"
 #include "core/stats.hh"
+#include "core/table_arena.hh"
 #include "core/types.hh"
 
 namespace vpred
@@ -87,7 +86,10 @@ struct AliasBreakdown
  *
  * The functional tables behave exactly like FcmPredictor /
  * DfcmPredictor (identical predictions); the shadow state is
- * observation-only.
+ * observation-only. Every shadow is a flat array with `order`
+ * elements per entry, oldest first, and the private tables share one
+ * exact-key map, so step() costs one hash insertion and one private
+ * probe per record.
  */
 class AliasAnalyzer
 {
@@ -119,20 +121,11 @@ class AliasAnalyzer
     unsigned order() const { return order_; }
 
   private:
-    struct L1Shadow
-    {
-        std::vector<Value> history;  //!< oldest..newest, size = order
-        std::vector<Pc> writers;     //!< producer of each element
-        Value last = 0;              //!< DFCM last value
-    };
-
-    struct L2Shadow
-    {
-        std::vector<Value> history;  //!< history at last update
-        Pc writer;                   //!< PC of last updater
-    };
-
-    std::uint64_t hashOf(const std::vector<Value>& history) const;
+    /** The category of a prediction by level-1 entry @p l1_idx
+     *  through level-2 entry @p l2_idx, whose private-table value is
+     *  @p priv. */
+    AliasType classifyAt(Pc pc, std::size_t l1_idx,
+                         std::uint64_t l2_idx, Value priv) const;
     std::uint64_t privKey(std::size_t l1_idx, std::uint64_t l2_idx) const;
 
     FcmConfig cfg_;
@@ -143,10 +136,16 @@ class AliasAnalyzer
     std::uint64_t value_mask_;
     static constexpr Pc kNoPc = ~Pc{0};
 
-    std::vector<L1Shadow> l1_;
-    std::vector<Value> l2_;          //!< functional level-2 table
-    std::vector<L2Shadow> l2_shadow_;
-    std::unordered_map<std::uint64_t, Value> private_l2_;
+    // Level 1: the functional hashed history, then the shadows.
+    TableBuffer<std::uint64_t> l1_hash_;  //!< hashed history per entry
+    TableBuffer<Value> l1_history_;       //!< order values per entry
+    TableBuffer<Pc> l1_writers_;          //!< producer of each value
+    TableBuffer<Value> l1_last_;          //!< DFCM last value
+    // Level 2: the functional table, then the shadows.
+    TableBuffer<Value> l2_;
+    TableBuffer<Value> l2_history_;  //!< order values at last update
+    TableBuffer<Pc> l2_writer_;      //!< PC of last updater
+    ExactKeyTable private_l2_;       //!< (l1 entry, l2 entry) -> value
     AliasBreakdown breakdown_;
 };
 

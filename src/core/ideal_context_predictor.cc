@@ -3,6 +3,8 @@
 #include <cassert>
 #include <sstream>
 
+#include "core/trace_kernel.hh"
+
 namespace vpred
 {
 
@@ -13,34 +15,60 @@ IdealContextPredictor::IdealContextPredictor(unsigned l1_bits,
     : l1_bits_(l1_bits), order_(order), differential_(differential),
       value_bits_(value_bits), l1_mask_(maskBits(l1_bits)),
       value_mask_(maskBits(value_bits)),
-      l1_(std::size_t{1} << l1_bits)
+      history_((std::size_t{1} << l1_bits) * order),
+      last_(std::size_t{1} << l1_bits),
+      l2_((order * value_bits + 63) / 64)
 {
     assert(l1_bits <= 24);
     assert(order >= 1 && order <= 16);
-    for (L1Entry& e : l1_)
-        e.history.assign(order_, 0);
+    assert(value_bits >= 1 && value_bits <= 64);
 }
 
-std::string
-IdealContextPredictor::keyOf(const std::vector<Value>& history) const
+void
+IdealContextPredictor::keyOf(std::size_t l1_idx, Key& key) const
 {
-    std::string key;
-    key.reserve(history.size() * 8);
-    for (Value v : history) {
-        for (int i = 0; i < 8; ++i)
-            key.push_back(static_cast<char>(v >> (8 * i)));
+    // Elements are masked to value_bits, so the packed fields never
+    // overlap and the key is exact. Each word is assembled in a
+    // register and written once; an element that does not fit in
+    // the current word carries its high bits into the next.
+    const Value* h = &history_[l1_idx * order_];
+    std::uint64_t word = 0;
+    unsigned used = 0;  // bits of `word` filled so far, < 64
+    std::size_t w = 0;
+    for (unsigned i = 0; i < order_; ++i) {
+        word |= h[i] << used;
+        used += value_bits_;
+        if (used >= 64) {
+            key[w++] = word;
+            used -= 64;
+            word = used == 0 ? 0 : h[i] >> (value_bits_ - used);
+        }
     }
-    return key;
+    if (used != 0)
+        key[w] = word;
+}
+
+void
+IdealContextPredictor::advance(std::size_t l1_idx, Value stored,
+                               Value actual)
+{
+    // A hand-written shift: at a few elements a memmove call costs
+    // more than the move.
+    Value* h = &history_[l1_idx * order_];
+    for (unsigned i = 0; i < order_; ++i)
+        h[i] = i + 1 == order_ ? stored : h[i + 1];
+    last_[l1_idx] = actual;
 }
 
 Value
 IdealContextPredictor::predict(Pc pc) const
 {
-    const L1Entry& e = l1_[pc & l1_mask_];
-    const auto it = l2_.find(keyOf(e.history));
-    const Value stored = it == l2_.end() ? 0 : it->second;
+    const std::size_t idx = pc & l1_mask_;
+    Key key;
+    keyOf(idx, key);
+    const Value stored = l2_.find(key.data());
     if (differential_)
-        return (e.last + stored) & value_mask_;
+        return (last_[idx] + stored) & value_mask_;
     return stored;
 }
 
@@ -48,14 +76,42 @@ void
 IdealContextPredictor::update(Pc pc, Value actual)
 {
     actual &= value_mask_;
-    L1Entry& e = l1_[pc & l1_mask_];
+    const std::size_t idx = pc & l1_mask_;
     const Value stored = differential_
-        ? ((actual - e.last) & value_mask_) : actual;
+        ? ((actual - last_[idx]) & value_mask_) : actual;
 
-    l2_[keyOf(e.history)] = stored;
-    e.history.erase(e.history.begin());
-    e.history.push_back(stored);
-    e.last = actual;
+    Key key;
+    keyOf(idx, key);
+    l2_.findOrInsert(key.data()) = stored;
+    advance(idx, stored, actual);
+}
+
+bool
+IdealContextPredictor::predictAndUpdate(Pc pc, Value actual)
+{
+    // Fused predict + update: one level-2 probe per record (the
+    // prediction reads the slot the update then writes).
+    const std::size_t idx = pc & l1_mask_;
+    Key key;
+    keyOf(idx, key);
+    Value& slot = l2_.findOrInsert(key.data());
+    const Value last = last_[idx];
+    const Value predicted =
+            differential_ ? ((last + slot) & value_mask_) : slot;
+    const bool correct = predicted == actual;
+
+    actual &= value_mask_;
+    slot = differential_ ? ((actual - last) & value_mask_) : actual;
+    advance(idx, slot, actual);
+    return correct;
+}
+
+PredictorStats
+IdealContextPredictor::runTraceSpan(std::span<const TraceRecord> trace)
+{
+    PredictorStats stats;
+    runTraceKernel(*this, trace, stats);
+    return stats;
 }
 
 std::uint64_t
@@ -65,7 +121,7 @@ IdealContextPredictor::storageBits() const
     const std::uint64_t l1_entry =
             std::uint64_t{order_} * value_bits_
             + (differential_ ? value_bits_ : 0);
-    return l1_.size() * l1_entry
+    return last_.size() * l1_entry
         + l2_.size() * std::uint64_t{value_bits_};
 }
 

@@ -18,9 +18,10 @@
 #ifndef DFCM_CORE_IDEAL_CONTEXT_PREDICTOR_HH
 #define DFCM_CORE_IDEAL_CONTEXT_PREDICTOR_HH
 
-#include <unordered_map>
-#include <vector>
+#include <array>
 
+#include "core/exact_key_table.hh"
+#include "core/table_arena.hh"
 #include "core/value_predictor.hh"
 
 namespace vpred
@@ -32,22 +33,27 @@ namespace vpred
  *
  * The level-1 table is still finite and untagged (indexed by the
  * instruction's low bits) so level-1 behaviour matches the real
- * predictors; only the level-2 indexing is idealized.
+ * predictors; only the level-2 indexing is idealized. The level-2
+ * key is the level-1 history packed at value_bits per element into
+ * ceil(order * value_bits / 64) words, so every order <= 16 and
+ * every width <= 64 share one exact key layout.
  */
 class IdealContextPredictor : public ValuePredictor
 {
   public:
     /**
-     * @param l1_bits log2(#level-1 entries).
-     * @param order History length (values or differences).
+     * @param l1_bits log2(#level-1 entries), at most 24.
+     * @param order History length (values or differences), 1..16.
      * @param differential False = FCM form, true = DFCM form.
-     * @param value_bits Predicted value width.
+     * @param value_bits Predicted value width, 1..64.
      */
     IdealContextPredictor(unsigned l1_bits, unsigned order,
                           bool differential, unsigned value_bits = 32);
 
     Value predict(Pc pc) const override;
     void update(Pc pc, Value actual) override;
+    bool predictAndUpdate(Pc pc, Value actual) override;
+    PredictorStats runTraceSpan(std::span<const TraceRecord>) override;
     std::uint64_t storageBits() const override;
     std::string name() const override;
 
@@ -57,15 +63,14 @@ class IdealContextPredictor : public ValuePredictor
     unsigned order() const { return order_; }
 
   private:
-    struct L1Entry
-    {
-        Value last = 0;
-        std::vector<Value> history;  //!< oldest..newest, size = order
-    };
+    using Key = std::array<std::uint64_t, ExactKeyTable::kMaxKeyWords>;
 
-    /** Collision-free key of a history (exact concatenation via
-     *  string of bytes). */
-    std::string keyOf(const std::vector<Value>& history) const;
+    /** Pack level-1 entry @p l1_idx's history into @p key. */
+    void keyOf(std::size_t l1_idx, Key& key) const;
+
+    /** Shift @p stored into entry @p l1_idx's history and record
+     *  @p actual as its last value. */
+    void advance(std::size_t l1_idx, Value stored, Value actual);
 
     unsigned l1_bits_;
     unsigned order_;
@@ -73,8 +78,9 @@ class IdealContextPredictor : public ValuePredictor
     unsigned value_bits_;
     std::uint64_t l1_mask_;
     std::uint64_t value_mask_;
-    std::vector<L1Entry> l1_;
-    std::unordered_map<std::string, Value> l2_;
+    TableBuffer<Value> history_;  //!< order values per entry, oldest first
+    TableBuffer<Value> last_;     //!< last value per entry
+    ExactKeyTable l2_;            //!< exact history -> stored value
 };
 
 } // namespace vpred

@@ -11,6 +11,10 @@
  * deterministic grid order, so parallel output is bit-identical to
  * the serial runSuite() path.
  *
+ * Drivers built on analysis devices rather than factory predictor
+ * kinds run their cells through map(), the same pool with the same
+ * index-ordered gather.
+ *
  * Worker count comes from the REPRO_JOBS environment variable
  * (default: std::thread::hardware_concurrency). REPRO_JOBS=1 runs
  * every cell inline on the calling thread, spawning no workers.
@@ -26,6 +30,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -152,6 +157,28 @@ class ParallelSweep
     /** Run every config over the paper's eight-benchmark suite. */
     std::vector<SuiteResult> runGrid(
             const std::vector<PredictorConfig>& configs);
+
+    /**
+     * Run fn(i) for every cell i in [0, n) on the sweep's pool and
+     * return the results in index order, so the output equals a
+     * serial loop's for any job count. A cell must own every piece
+     * of state it mutates (it may read the TraceCache); callers do
+     * their formatting and floating-point sums on the results, on
+     * the calling thread. The first exception a cell throws is
+     * rethrown after the batch drains.
+     */
+    template <class Fn>
+    auto
+    map(std::size_t n, Fn&& fn)
+            -> std::vector<std::invoke_result_t<Fn&, std::size_t>>
+    {
+        using R = std::invoke_result_t<Fn&, std::size_t>;
+        static_assert(!std::is_same_v<R, bool>,
+                      "std::vector<bool> packs cells into shared words");
+        std::vector<R> results(n);
+        pool_.parallelFor(n, [&](std::size_t i) { results[i] = fn(i); });
+        return results;
+    }
 
     /** Execution report of the most recent runGrid() call. */
     const SweepExecution& lastExecution() const { return execution_; }

@@ -2,7 +2,7 @@
  * @file
  * Tests for the parallel sweep executor: thread pool semantics,
  * concurrent TraceCache use, serial/parallel result equivalence over
- * the Figure 10 grid, and the JSON results emitter.
+ * the Figure 10 grid and for map(), and the JSON results emitter.
  *
  * Built as its own binary (vpred_concurrency_tests, CTest label
  * "concurrency") so it can run under ThreadSanitizer via
@@ -16,6 +16,7 @@
 #include <fstream>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness/parallel_sweep.hh"
@@ -187,6 +188,56 @@ TEST(ParallelSweep, SingleJobPathMatchesSerial)
     const std::vector<SuiteResult> got = sweep.runGrid({cfg});
     ASSERT_EQ(got.size(), 1u);
     expectSuitesEqual(got[0], serial);
+}
+
+/** A cell whose cost varies by orders of magnitude with its index:
+ *  every seventh cell iterates a 64-bit LCG 200k times, the rest 10
+ *  times, so fast workers overtake slow ones and finish out of
+ *  index order. */
+std::uint64_t
+unevenCell(std::size_t i)
+{
+    const std::size_t steps = i % 7 == 0 ? 200000 : 10;
+    std::uint64_t x = i;
+    for (std::size_t k = 0; k < steps; ++k)
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return x;
+}
+
+TEST(ParallelSweep, MapGathersInIndexOrder)
+{
+    constexpr std::size_t n = 57;
+    std::vector<std::uint64_t> serial;
+    for (std::size_t i = 0; i < n; ++i)
+        serial.push_back(unevenCell(i));
+
+    TraceCache cache(kTestScale);
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        ParallelSweep sweep(cache, jobs);
+        EXPECT_EQ(sweep.map(n, unevenCell), serial);
+
+        // Non-trivial result types gather the same way.
+        const std::vector<std::string> labels = sweep.map(
+                n, [](std::size_t i) { return std::to_string(i * i); });
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(labels[i], std::to_string(i * i));
+
+        // A throwing cell surfaces after the batch; the sweep's pool
+        // stays usable.
+        EXPECT_THROW(sweep.map(n,
+                               [](std::size_t i) -> int {
+                                   if (i == 5)
+                                       throw std::runtime_error("cell");
+                                   return 0;
+                               }),
+                     std::runtime_error);
+        EXPECT_EQ(sweep.map(3, unevenCell),
+                  std::vector<std::uint64_t>(serial.begin(),
+                                             serial.begin() + 3));
+
+        EXPECT_TRUE(sweep.map(0, unevenCell).empty());
+    }
 }
 
 TEST(ParallelSweep, RespectsReproJobsEnv)

@@ -26,14 +26,18 @@
 #            REPRO_PERF_THRESHOLD, default 25%, or a "_p50"/"_p99"
 #            latency quantile rising beyond
 #            REPRO_PERF_LATENCY_THRESHOLD, default 100%, fails after
-#            one retry; CI runs this enforcing, and
+#            one retry; both gates always run and print a verdict,
+#            and the stage fails if either is red; CI runs this
+#            enforcing, and
 #            REPRO_PERF_WARN_ONLY=1 reports without failing for
 #            underpowered dev machines — the bench's own bit-identity
 #            cross-check still hard-fails). REPRO_PERF_SCALE
 #            overrides the 0.25 trace scale; see EXPERIMENTS.md for
 #            the baseline-refresh workflow.
-#   figures  regenerate every figure CSV in a scratch directory and
-#            byte-diff it against the committed results/ copies
+#   figures  regenerate every figure CSV in a scratch directory
+#            (printing each driver's wall time), byte-diff it against
+#            the committed results/ copies, and fail on any committed
+#            CSV that no driver wrote
 #
 # Usage:
 #   tools/check.sh              # everything
@@ -169,12 +173,19 @@ if want perf; then
     # rates, so this arm exists to catch order-of-magnitude latency
     # inflation and zero-valued (clamped-timestamp) quantiles, not to
     # litigate a noisy p99.
+    #
+    # Both gates always run and print a verdict; the stage fails
+    # afterwards if either was red. perf_gate is called from an `if`,
+    # where `set -e` does not apply, so a bench that fails its own
+    # bit-identity check exits the script explicitly.
     perf_gate() {  # <baseline-json> <bench-binary> <env-prefix...>
         local baseline="$1" bench="$2"; shift 2
         local fresh="$PERF_DIR/results/$(basename "$baseline")"
         local attempt
         for attempt in 1 2; do
-            (cd "$PERF_DIR" && env "$@" "$bench")
+            (cd "$PERF_DIR" && env "$@" "$bench") || {
+                echo "perf: $(basename "$bench") failed its own checks" >&2
+                exit 1; }
             if "$ROOT/build-check-release/tools/bench-compare" \
                     "$ROOT/$baseline" "$fresh" \
                     --threshold "${REPRO_PERF_THRESHOLD:-0.25}" \
@@ -188,7 +199,18 @@ if want perf; then
         done
         return 1
     }
-    perf_gate results/BENCH_throughput.json \
+    perf_fail=0
+    run_gate() {  # <perf_gate-args...>
+        local label
+        label="$(basename "$1")"
+        if perf_gate "$@"; then
+            echo "perf: $label gate: pass"
+        else
+            echo "perf: $label gate: FAIL" >&2
+            perf_fail=1
+        fi
+    }
+    run_gate results/BENCH_throughput.json \
         "$ROOT/build-check-release/bench/bench_throughput" \
         REPRO_TRACE_SCALE="${REPRO_PERF_SCALE:-0.25}"
     # The service baseline is gated the same way, against a run of
@@ -199,8 +221,9 @@ if want perf; then
     # full-scale rate, so only the committed shape compares like
     # for like. Metrics only one side produces (the committed
     # "scaling" rows) are reported as one-sided and never fail.
-    perf_gate results/BENCH_service.json \
+    run_gate results/BENCH_service.json \
         "$ROOT/build-check-release/bench/bench_service_load"
+    [ "$perf_fail" -eq 0 ]
 fi
 
 if want figures; then
@@ -213,13 +236,26 @@ if want figures; then
         cd "$SCRATCH"
         for b in "$ROOT"/build-check-release/bench/bench_*; do
             # The load generator runs at full scale (1M streams) and
-            # emits no CSV — it has its own `service` smoke stage.
+            # emits no CSV — it has its own `service` stage.
             [ "$(basename "$b")" = bench_service_load ] && continue
-            echo "  running $(basename "$b")"
+            start_ns="$(date +%s%N)"
             "$b" > /dev/null
+            ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+            printf '  %-40s %4d.%03d s\n' "$(basename "$b")" \
+                   $((ms / 1000)) $((ms % 1000))
         done
     )
     fail=0
+    # A driver that stops writing its CSV must fail the stage too, not
+    # just one whose CSV drifts. test_table.csv is written by no driver.
+    for ref in "$ROOT"/results/*.csv; do
+        rel="results/$(basename "$ref")"
+        [ "$rel" = results/test_table.csv ] && continue
+        if [ ! -e "$SCRATCH/$rel" ]; then
+            echo "FIGURE MISSING: no driver regenerated $rel" >&2
+            fail=1
+        fi
+    done
     for csv in "$SCRATCH"/results/*.csv; do
         rel="results/$(basename "$csv")"
         if ! cmp -s "$csv" "$ROOT/$rel"; then
